@@ -14,9 +14,12 @@ shutdown, and resource hygiene.  The script
    the ``/obs`` SLO section, the per-session ``/v1/sessions/<id>/obs``
    view, and ``repro top --server URL --once`` rendering a live frame
    from a second subprocess,
-5. sends SIGTERM and asserts a clean exit: status 0, the ``server
-   stopped`` farewell, no surviving process group, and no orphaned
-   shared-memory segments.
+5. checks that the server runs warm-pool workers (it is started with
+   ``REPRO_WORKERS=2`` and ``REPRO_POOL_MIN_CANDIDATES=1``, so every Run
+   goes through the pool), then sends SIGTERM to the server process alone,
+   as process supervisors do, and asserts a clean exit: status 0, the
+   ``server stopped`` farewell, no surviving process group (the workers
+   died with the server), and no orphaned shared-memory segments.
 
 Exit status 0 means all of that held.  Stdlib only.
 """
@@ -37,6 +40,7 @@ from repro.service import ServiceClient  # noqa: E402
 
 READY = re.compile(r"serving PRAGUE sessions on http://([^:]+):(\d+)")
 NUM_USERS = 6
+POOL_WORKERS = 2
 BOOT_TIMEOUT_S = 120.0
 EXIT_TIMEOUT_S = 30.0
 
@@ -62,6 +66,28 @@ def wait_ready(proc):
         if match:
             return match.group(1), int(match.group(2)), lines
     raise SystemExit("server never printed the readiness line")
+
+
+def pool_workers(pid):
+    """Child processes forked from ``pid`` (same command line) — the warm
+    pool's workers; the multiprocessing resource tracker is not one."""
+    def cmdline(p):
+        try:
+            return Path(f"/proc/{p}/cmdline").read_bytes()
+        except OSError:
+            return None
+
+    own = cmdline(pid)
+    workers = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # the process ended while we looked
+        child = int(stat.parent.name)
+        if ppid == pid and cmdline(child) == own:
+            workers.append(child)
+    return workers
 
 
 def drive(host, port):
@@ -101,6 +127,22 @@ def drive(host, port):
         assert health["created"] >= NUM_USERS, health
         assert health["active"] == 0, health
     print(f"drove {NUM_USERS} concurrent sessions: ok")
+
+
+def pooled_run(host, port):
+    """One Run that must verify candidates: a 5-edge carbon chain is larger
+    than the indexed fragments (``--max-edges 4``), so its candidates go
+    through VF2 — on the warm pool, given the floor of 1."""
+    with ServiceClient(host, port, timeout=60.0) as client:
+        sid = client.create_session(sigma=2)
+        for i in range(6):
+            client.add_node(sid, i, "C")
+        for i in range(5):
+            client.add_edge(sid, i, i + 1)
+        run = client.run(sid)["run"]
+        assert isinstance(run["exact"], list), run
+        client.close_session(sid)
+    print(f"pooled run: {len(run['exact'])} exact answers")
 
 
 def telemetry(host, port):
@@ -165,7 +207,9 @@ def main():
          "--synthetic", "30", "--port", "0", "--sigma", "2",
          "--max-edges", "4"],
         cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "REPRO_WORKERS": str(POOL_WORKERS),
+             "REPRO_POOL_MIN_CANDIDATES": "1"},
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -176,8 +220,16 @@ def main():
         print("".join(lines).rstrip())
         drive(host, port)
         telemetry(host, port)
+        pooled_run(host, port)
 
-        os.killpg(proc.pid, signal.SIGTERM)
+        workers = pool_workers(proc.pid)
+        if len(workers) < POOL_WORKERS:
+            raise SystemExit(
+                f"expected {POOL_WORKERS} warm-pool workers, found {workers}"
+            )
+        print(f"warm pool running: workers {workers}")
+
+        proc.send_signal(signal.SIGTERM)  # the server alone, not its group
         output, _ = proc.communicate(timeout=EXIT_TIMEOUT_S)
     finally:
         if proc.poll() is None:

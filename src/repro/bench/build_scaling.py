@@ -2,8 +2,8 @@
 
 The measurement behind ``benchmarks/bench_build_scaling.py`` and the
 ``index.build_cold_s`` / ``index.build_sharded_s`` perf-ledger metrics: for
-each corpus size in the scale sweep, time one serial mine (gSpan + DIFs —
-the historical ``build_indexes`` path) and one sharded build
+each corpus size in the scale sweep, time one serial mine (the one-pass
+gSpan + DIF mining ``build_indexes`` runs at ``workers=1``) and one sharded build
 (:func:`repro.index.sharded.mine_sharded`) at ``workers`` workers, and check
 the two catalogs are equivalent.
 
@@ -23,9 +23,8 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.config import MiningParams
 from repro.graph.database import GraphDatabase
+from repro.index.builder import mine_serial
 from repro.index.sharded import mine_sharded
-from repro.mining.dif import mine_difs
-from repro.mining.gspan import mine_frequent_fragments
 
 #: Worker count the sweep (and the ISSUE floor) is defined at.
 SWEEP_WORKERS = 4
@@ -39,13 +38,6 @@ def parallel_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serial_mine(db: GraphDatabase, params: MiningParams):
-    min_sup = params.absolute_support(len(db))
-    frequent = mine_frequent_fragments(db, min_sup, params.max_fragment_edges)
-    difs = mine_difs(db, frequent, min_sup, params.max_fragment_edges)
-    return frequent, difs
-
-
 def measure_build_point(
     db: GraphDatabase,
     params: MiningParams,
@@ -55,7 +47,7 @@ def measure_build_point(
     """Serial vs sharded cold build of one corpus; one timed run of each
     (cold builds are seconds-to-minutes — repetition buys nothing)."""
     start = time.perf_counter()
-    frequent_serial, difs_serial = _serial_mine(db, params)
+    frequent_serial, difs_serial = mine_serial(db, params)
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()

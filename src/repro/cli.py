@@ -1083,13 +1083,14 @@ def _cmd_serve(args) -> int:
     )
     server = PragueService(manager, host=args.host, port=args.port)
     host, port = server.address
-    print(
+    # Printed only once SIGTERM/SIGINT are handled: a supervisor that stops
+    # the server as soon as it reads this line gets a clean exit.
+    serve_forever(server, on_ready=lambda: print(
         f"serving PRAGUE sessions on http://{host}:{port} "
         f"({len(db)} graphs, cap {manager.max_sessions()} sessions, "
         f"ttl {manager.ttl():g}s)",
         flush=True,
-    )
-    serve_forever(server)
+    ))
     print("server stopped")
     return 0
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import signal
 import threading
 import time
 import weakref
@@ -161,8 +162,18 @@ def _attach_worker_arena(name: Optional[str], version: Optional[str]) -> None:
     workers in a loop.  On any failure the worker simply has no arena and
     the first arena-referencing chunk raises, which the parent turns into a
     serial fallback.
+
+    Also restores the default signal dispositions a forked worker would
+    otherwise inherit from the parent: the service's SIGTERM handler only
+    sets a stop event, but ``Pool.terminate()`` relies on SIGTERM killing
+    the workers (it then joins them without a timeout), so a worker that
+    survived it would hang the parent's shutdown.  SIGINT is ignored: a
+    terminal's Ctrl-C reaches the whole process group, and the parent's
+    shutdown stops the workers.
     """
     global _WORKER_ARENA
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if name is None:
         _WORKER_ARENA = None
         return

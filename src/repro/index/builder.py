@@ -16,15 +16,14 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import MiningParams, build_shards, build_workers
 from repro.graph.database import GraphDatabase
 from repro.index.a2f import A2FIndex
 from repro.index.a2i import A2IIndex
-from repro.mining.dif import mine_difs
+from repro.mining.dif import mine_catalogs
 from repro.mining.fragments import FragmentCatalog
-from repro.mining.gspan import mine_frequent_fragments
 
 
 @dataclass
@@ -57,6 +56,17 @@ def database_fingerprint(db: GraphDatabase, params: MiningParams) -> str:
         for u, v in sorted(g.edges(), key=repr):
             h.update(f"e{u}{v}{g.edge_label(u, v)}".encode())
     return h.hexdigest()[:24]
+
+
+def mine_serial(
+    db: GraphDatabase, params: MiningParams
+) -> Tuple[FragmentCatalog, FragmentCatalog]:
+    """The serial cold build's mining: ``(frequent, difs)`` in one gSpan
+    pass, DIF supports read off its projections
+    (:func:`repro.mining.dif.mine_catalogs`)."""
+    return mine_catalogs(
+        db, params.absolute_support(len(db)), params.max_fragment_edges
+    )
 
 
 def build_indexes(
@@ -99,9 +109,7 @@ def build_indexes(
             db, params, workers, shards, progress=progress
         )
     else:
-        min_sup = params.absolute_support(len(db))
-        frequent = mine_frequent_fragments(db, min_sup, params.max_fragment_edges)
-        difs = mine_difs(db, frequent, min_sup, params.max_fragment_edges)
+        frequent, difs = mine_serial(db, params)
 
     if cache_path is not None:
         with cache_path.open("wb") as handle:

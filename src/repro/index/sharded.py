@@ -38,11 +38,17 @@ tests are themselves fanned out to the workers.  A candidate one of whose
 subgraph codes is missing from the accepted set is dropped without any test:
 that subgraph is globally infrequent, hence so is the candidate.
 
+The DIF phase recounts the same way (:func:`repro.mining.dif.recount_support`).
+The serial build reads DIF supports off gSpan's projected database instead,
+but a DIF's support spans every shard, while a shard miner keeps embeddings
+only of fragments that are frequent in its own shard: where the parent is
+locally infrequent, its embeddings were never stored.
+
 Determinism: the output depends only on ``(db, params)`` — never on the
 worker or shard count.  Catalogs are sorted by canonical code, frequent
 representative graphs are the minimum-DFS-code graphs every shard miner
 builds identically, and DIF representative graphs are normalized to
-``DFSCode(code).to_graph()`` (serial :func:`repro.mining.dif.mine_difs`
+``DFSCode(code).to_graph()`` (serial :func:`repro.mining.dif.mine_catalogs`
 keeps the extension-built graph instead, so sharded DIF graphs are
 isomorphic — same canonical code — but not byte-identical to serial ones).
 """
@@ -71,14 +77,14 @@ from repro.graph.isomorphism import is_subgraph_isomorphic
 from repro.graph.labeled_graph import Graph
 from repro.mining.dfs_code import DFSCode
 from repro.mining.dif import (
-    _single_edge_supports,
     connected_one_smaller_subgraphs,
     dif_extensions,
     dif_level1,
-    mine_difs,
+    mine_catalogs,
+    recount_support,
 )
 from repro.mining.fragments import Fragment, FragmentCatalog
-from repro.mining.gspan import GSpanMiner, mine_frequent_fragments
+from repro.mining.gspan import GSpanMiner, single_edge_supports
 from repro.obs.metrics import count, gauge
 from repro.obs.recorder import RECORDER
 
@@ -197,7 +203,6 @@ def _verify_task(
 def _dif_task(i: int) -> FragmentCatalog:
     s = _STATE
     return dif_extensions(
-        s["db"],
         s["frequent"],
         s["chunks"][i],
         s["min_sup"],
@@ -206,6 +211,7 @@ def _dif_task(i: int) -> FragmentCatalog:
         s["edge_labels"],
         s["triples"],
         seen=set(s["seen"]),
+        support=recount_support(s["db"], s["frequent"]),
     )
 
 
@@ -234,7 +240,7 @@ def merge_shard_catalogs(
     Requires ``_STATE["db"]`` to be ``db`` when a pool is passed.
     """
     if supports is None:
-        supports = _single_edge_supports(db)
+        supports = single_edge_supports(db)
 
     # Union the candidates: deterministic graph per code, exact known ids.
     graphs: Dict[CanonicalCode, Graph] = {}
@@ -325,8 +331,8 @@ def mine_sharded(
 ) -> Tuple[FragmentCatalog, FragmentCatalog]:
     """Mine ``(frequent, difs)`` for ``db`` via the sharded pipeline.
 
-    Equivalent to the serial ``mine_frequent_fragments`` + ``mine_difs`` pair
-    at every worker/shard count (same codes, same FSG-id lists, isomorphic
+    Equivalent to the serial :func:`repro.mining.dif.mine_catalogs` at
+    every worker/shard count (same codes, same FSG-id lists, isomorphic
     representative graphs); catalogs come back sorted by canonical code.
 
     ``shards == 0`` uses one shard per worker; more shards than workers give
@@ -353,16 +359,9 @@ def mine_sharded(
     if n < 2 or shards < 2:
         # Degenerate: one shard is the whole database — serial mine, but
         # normalized to the sharded pipeline's sorted/deterministic output.
-        frequent = dict(
-            sorted(
-                mine_frequent_fragments(db, min_sup, params.max_fragment_edges).items()
-            )
-        )
-        difs = dict(
-            sorted(
-                mine_difs(db, frequent, min_sup, params.max_fragment_edges).items()
-            )
-        )
+        frequent, difs = mine_catalogs(db, min_sup, params.max_fragment_edges)
+        frequent = dict(sorted(frequent.items()))
+        difs = dict(sorted(difs.items()))
         for code, frag in difs.items():
             difs[code] = Fragment(
                 code=code, graph=_graph_for_code(code), fsg_ids=frag.fsg_ids
@@ -402,7 +401,7 @@ def mine_sharded(
             )
 
     # Phase 2 — exact global merge.
-    supports = _single_edge_supports(db)
+    supports = single_edge_supports(db)
     with _phase_pool(workers, {"db": db}) as pool:
         frequent = merge_shard_catalogs(
             db,
@@ -425,7 +424,7 @@ def mine_sharded(
     node_labels = list(db.node_label_universe())
     edge_labels = list(db.edge_label_universe())
     triples = {k for k, ids in supports.items() if len(ids) >= min_sup}
-    level1 = dif_level1(db, min_sup, node_labels, edge_labels, supports=supports)
+    level1 = dif_level1(min_sup, node_labels, edge_labels, supports)
     chunks = [
         c for c in partition_ids(list(frequent), max(workers, 1)) if c
     ]

@@ -1,7 +1,7 @@
 """Offline mining: frequent fragments (gSpan) and DIFs."""
 
 from repro.mining.dfs_code import DFSCode
-from repro.mining.dif import connected_one_smaller_subgraphs, mine_difs
+from repro.mining.dif import connected_one_smaller_subgraphs, mine_catalogs
 from repro.mining.fragments import Fragment, FragmentCatalog, is_frequent
 from repro.mining.gspan import GSpanMiner, mine_frequent_fragments
 
@@ -12,6 +12,6 @@ __all__ = [
     "is_frequent",
     "GSpanMiner",
     "mine_frequent_fragments",
-    "mine_difs",
+    "mine_catalogs",
     "connected_one_smaller_subgraphs",
 ]

@@ -14,34 +14,47 @@ Generation is Apriori-style, which is complete for DIFs:
   connected subgraphs, all of which are frequent; so extending each frequent
   fragment by (a) an edge between two existing non-adjacent nodes or (b) a
   pendant node with any database label reaches every DIF.  Candidates are
-  deduplicated by canonical code, minimality is checked against the frequent
-  catalog, and exact ``fsgIds`` are computed by verifying subgraph isomorphism
-  only on the intersection of the frequent subgraphs' FSG lists.
+  deduplicated by canonical code (the first parent in catalog order wins) and
+  minimality is checked against the frequent catalog.
+
+A candidate's exact ``fsgIds`` come from one of two sources.  The serial
+build (:func:`mine_catalogs`) reads them off gSpan's projected database:
+the miner keeps every embedding of each frequent fragment ``f``, so
+``f + e`` occurs in a graph iff some embedding of ``f`` there extends by
+``e`` (:attr:`repro.mining.gspan.GSpanMiner.extension_supports`) — no
+isomorphism test at all.  Callers that hold no global projections (the
+sharded build's merge) use :func:`recount_support`, which verifies subgraph
+isomorphism on the intersection of the frequent subgraphs' FSG lists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.canonical import CanonicalCode, canonical_code
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import is_subgraph_isomorphic
 from repro.graph.labeled_graph import Graph
 from repro.mining.fragments import Fragment, FragmentCatalog
+from repro.mining.gspan import ExtensionKey, GSpanMiner, LabelTriple
 
-
-def _single_edge_supports(db: GraphDatabase) -> Dict[Tuple[str, str, str], Set[int]]:
-    """(la, le, lb) with la ≤ lb -> ids of graphs containing such an edge."""
-    out: Dict[Tuple[str, str, str], Set[int]] = {}
-    for gid, g in db.items():
-        for u, v in g.edges():
-            la, lb = g.label(u), g.label(v)
-            if la > lb:
-                la, lb = lb, la
-            le = g.edge_label(u, v)
-            key = (la, "" if le is None else le, lb)
-            out.setdefault(key, set()).add(gid)
-    return out
+#: ``support(parent_code, key, candidate, sub_codes)`` -> the candidate's
+#: exact FSG ids; ``candidate`` is the parent fragment plus extension ``key``
+#: and ``sub_codes`` the codes of its connected one-smaller subgraphs (all
+#: frequent).
+SupportFn = Callable[
+    [CanonicalCode, ExtensionKey, Graph, List[CanonicalCode]], FrozenSet[int]
+]
 
 
 def _single_edge_graph(la: str, le: str, lb: str) -> Graph:
@@ -56,9 +69,10 @@ def _one_edge_extensions(
     f: Graph,
     node_labels: Sequence[str],
     edge_labels: Sequence[Optional[str]],
-    frequent_triples: Optional[Set[Tuple[str, str, str]]] = None,
-) -> Iterable[Graph]:
-    """All graphs obtained from ``f`` by adding exactly one edge.
+    frequent_triples: Optional[Set[LabelTriple]] = None,
+) -> Iterable[Tuple[ExtensionKey, Graph]]:
+    """All graphs obtained from ``f`` by adding exactly one edge, each with
+    the :data:`~repro.mining.gspan.ExtensionKey` of the edge it adds.
 
     With ``frequent_triples`` given, extensions whose new edge is itself an
     infrequent single-edge fragment are skipped: such a candidate contains an
@@ -66,12 +80,12 @@ def _one_edge_extensions(
     the bulk of the Apriori candidate space.
     """
 
-    def triple_ok(la: str, el: Optional[str], lb: str) -> bool:
+    def triple_ok(la: str, el: str, lb: str) -> bool:
         if frequent_triples is None:
             return True
         if la > lb:
             la, lb = lb, la
-        return (la, "" if el is None else el, lb) in frequent_triples
+        return (la, el, lb) in frequent_triples
 
     nodes = list(f.nodes())
     # (a) close an edge between two existing, non-adjacent nodes.
@@ -79,23 +93,26 @@ def _one_edge_extensions(
         for v in nodes[i + 1 :]:
             if f.has_edge(u, v):
                 continue
+            lv = f.label(v)
             for el in edge_labels:
-                if not triple_ok(f.label(u), el, f.label(v)):
+                norm = "" if el is None else el
+                if not triple_ok(f.label(u), norm, lv):
                     continue
                 g = f.copy()
                 g.add_edge(u, v, el)
-                yield g
+                yield (u, v, norm, lv), g
     # (b) attach a new pendant node with any database label.
     new_id = max((n for n in nodes if isinstance(n, int)), default=-1) + 1
     for u in nodes:
         for label in node_labels:
             for el in edge_labels:
-                if not triple_ok(f.label(u), el, label):
+                norm = "" if el is None else el
+                if not triple_ok(f.label(u), norm, label):
                     continue
                 g = f.copy()
                 g.add_node(new_id, label)
                 g.add_edge(u, new_id, el)
-                yield g
+                yield (u, new_id, norm, label), g
 
 
 def connected_one_smaller_subgraphs(g: Graph) -> List[Graph]:
@@ -118,20 +135,17 @@ def connected_one_smaller_subgraphs(g: Graph) -> List[Graph]:
 
 
 def dif_level1(
-    db: GraphDatabase,
     min_support_abs: int,
     node_labels: Sequence[str],
     edge_labels: Sequence[Optional[str]],
-    supports: Optional[Dict[Tuple[str, str, str], Set[int]]] = None,
+    supports: Dict[LabelTriple, Set[int]],
 ) -> FragmentCatalog:
     """Level-1 DIFs: every infrequent labeled single edge over the universes.
 
-    ``supports`` is the output of :func:`_single_edge_supports`; passing it
-    in lets callers that already scanned the database (the sharded build's
-    merge phase) avoid a second pass.
+    ``supports`` is the database's single-edge support map
+    (:func:`repro.mining.gspan.single_edge_supports`, also kept by the miner
+    as :attr:`~repro.mining.gspan.GSpanMiner.edge_supports`).
     """
-    if supports is None:
-        supports = _single_edge_supports(db)
     difs: FragmentCatalog = {}
     for la in node_labels:
         for lb in node_labels:
@@ -148,56 +162,62 @@ def dif_level1(
     return difs
 
 
+def recount_support(db: GraphDatabase, frequent: FragmentCatalog) -> SupportFn:
+    """Candidate support by subgraph-isomorphism tests on the intersection
+    of its frequent subgraphs' FSG lists — for callers without projections."""
+
+    def support(_parent, _key, candidate, sub_codes):
+        candidate_ids: Optional[Set[int]] = None
+        for sc in sub_codes:
+            ids = frequent[sc].fsg_ids
+            candidate_ids = set(ids) if candidate_ids is None else candidate_ids & ids
+        assert candidate_ids is not None
+        return frozenset(
+            gid for gid in candidate_ids if is_subgraph_isomorphic(candidate, db[gid])
+        )
+
+    return support
+
+
 def dif_extensions(
-    db: GraphDatabase,
     frequent: FragmentCatalog,
     codes: Sequence[CanonicalCode],
     min_support_abs: int,
     max_edges: int,
     node_labels: Sequence[str],
     edge_labels: Sequence[Optional[str]],
-    frequent_triples: Set[Tuple[str, str, str]],
+    frequent_triples: Set[LabelTriple],
     seen: Set[CanonicalCode],
+    support: SupportFn,
 ) -> FragmentCatalog:
     """Level ≥ 2 DIFs reachable by extending the frequent fragments ``codes``.
 
     ``frequent`` must be the *complete* global frequent catalog (minimality
-    checks and FSG intersection read it); ``codes`` selects which fragments
-    to extend — the full key set for a serial mine, one chunk of it per
-    worker in the sharded build.  Extending different chunks can reach the
-    same DIF; duplicates carry identical codes and FSG-id lists (support is
-    recomputed exactly per candidate), so a first-wins merge is exact.
-    ``seen`` is consumed destructively (pass a copy to share a baseline).
+    checks read it); ``codes`` selects which fragments to extend — the full
+    key set for a serial mine, one chunk of it per worker in the sharded
+    build.  Extending different chunks can reach the same DIF; duplicates
+    carry identical codes and FSG-id lists (``support`` is exact), so a
+    first-wins merge is exact.  ``seen`` is consumed destructively (pass a
+    copy to share a baseline).
     """
     difs: FragmentCatalog = {}
     for code in codes:
         frag = frequent[code]
         if frag.size >= max_edges:
             continue  # extension would exceed the indexable size
-        for candidate in _one_edge_extensions(
+        for key, candidate in _one_edge_extensions(
             frag.graph, node_labels, edge_labels, frequent_triples
         ):
             cand_code = canonical_code(candidate)
             if cand_code in seen or cand_code in frequent:
                 continue
             seen.add(cand_code)
-            subgraphs = connected_one_smaller_subgraphs(candidate)
-            sub_codes = [canonical_code(s) for s in subgraphs]
+            sub_codes = [
+                canonical_code(s) for s in connected_one_smaller_subgraphs(candidate)
+            ]
             if not all(sc in frequent for sc in sub_codes):
                 continue  # some subgraph infrequent -> candidate is a NIF
-            # Candidate FSG set: graphs containing all frequent subgraphs.
-            candidate_ids: Optional[Set[int]] = None
-            for sc in sub_codes:
-                ids = frequent[sc].fsg_ids
-                candidate_ids = (
-                    set(ids) if candidate_ids is None else candidate_ids & ids
-                )
-            assert candidate_ids is not None
-            fsg = frozenset(
-                gid
-                for gid in candidate_ids
-                if is_subgraph_isomorphic(candidate, db[gid])
-            )
+            fsg = support(code, key, candidate, sub_codes)
             if len(fsg) >= min_support_abs:
                 # Frequent after all — possible only beyond the mining bound;
                 # such fragments are neither frequent-indexed nor DIFs.
@@ -208,49 +228,42 @@ def dif_extensions(
     return difs
 
 
-def mine_difs(
-    db: GraphDatabase,
-    frequent: FragmentCatalog,
-    min_support_abs: int,
-    max_edges: int,
-    node_labels: Optional[Sequence[str]] = None,
-    edge_labels: Optional[Sequence[Optional[str]]] = None,
-) -> FragmentCatalog:
-    """Mine the complete DIF set up to ``max_edges`` edges.
+def mine_catalogs(
+    db: GraphDatabase, min_support_abs: int, max_edges: int
+) -> Tuple[FragmentCatalog, FragmentCatalog]:
+    """Mine ``(frequent, difs)`` up to ``max_edges`` edges in one pass.
 
-    ``frequent`` must be the complete frequent catalog for the same thresholds
-    (the output of :func:`repro.mining.gspan.mine_frequent_fragments`).
+    One gSpan run yields the frequent catalog, the single-edge supports
+    (level-1 DIFs) and every extension's support (levels ≥ 2), so DIF
+    mining runs no subgraph-isomorphism test.
     """
-    node_labels = list(node_labels if node_labels is not None else db.node_label_universe())
-    edge_labels = list(
-        edge_labels if edge_labels is not None else db.edge_label_universe()
-    )
-    supports = _single_edge_supports(db)
+    miner = GSpanMiner(db, min_support_abs, max_edges, record_extensions=True)
+    frequent = miner.mine()
+    node_labels = list(db.node_label_universe())
+    edge_labels = list(db.edge_label_universe())
+    supports = miner.edge_supports
 
     # Level 1: infrequent single edges over the label universes.
-    difs = dif_level1(
-        db, min_support_abs, node_labels, edge_labels, supports=supports
-    )
+    difs = dif_level1(min_support_abs, node_labels, edge_labels, supports)
 
     # Levels >= 2: one-edge extensions of frequent fragments.  Extensions
     # adding an infrequent single edge are pruned inside the generator —
     # they would contain an infrequent proper subgraph.
-    frequent_triples: Set[Tuple[str, str, str]] = {
+    frequent_triples: Set[LabelTriple] = {
         key for key, ids in supports.items() if len(ids) >= min_support_abs
     }
+    realized = miner.extension_supports
+
+    def support(parent, key, _candidate, _sub_codes):
+        # A fresh empty set per DIF: shared objects would shrink the
+        # pickled size accounting (pickle memoizes repeated objects).
+        return realized[parent].get(key) or frozenset()
+
     difs.update(
         dif_extensions(
-            db, frequent, list(frequent), min_support_abs, max_edges,
+            frequent, list(frequent), min_support_abs, max_edges,
             node_labels, edge_labels, frequent_triples, seen=set(difs),
+            support=support,
         )
     )
-    return difs
-
-
-def is_dif(
-    g: Graph,
-    frequent: FragmentCatalog,
-    difs: FragmentCatalog,
-) -> bool:
-    """Membership test against mined catalogs (used by tests and the SPIG)."""
-    return canonical_code(g) in difs
+    return frequent, difs

@@ -38,7 +38,7 @@ import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import service_port
 from repro.obs.metrics import METRICS, full_snapshot
@@ -353,7 +353,9 @@ class PragueService(ThreadingHTTPServer):
 
 
 def serve_forever(
-    server: PragueService, install_signals: bool = True
+    server: PragueService,
+    install_signals: bool = True,
+    on_ready: Optional[Callable[[], None]] = None,
 ) -> None:
     """Serve until SIGTERM/SIGINT, then shut down cleanly.
 
@@ -361,8 +363,14 @@ def serve_forever(
     not run inside a signal handler on the accepting thread (that would
     deadlock).  Instead the accept loop runs on a daemon thread and the
     main thread waits on a stop event the handlers merely set.
+
+    ``on_ready`` runs once the handlers are installed (the CLI prints its
+    readiness line there), so a SIGTERM sent on readiness stops the server
+    cleanly instead of killing it.
     """
     if not install_signals:
+        if on_ready is not None:
+            on_ready()
         try:
             server.serve_forever(poll_interval=0.1)
         finally:
@@ -376,6 +384,8 @@ def serve_forever(
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
     thread = server.serve_background()
+    if on_ready is not None:
+        on_ready()
     try:
         while not stop.wait(0.2):
             pass

@@ -344,3 +344,108 @@ class TestPostmortemRateLimit:
 def _identity_worker(payload):
     chunk, transform = payload
     return [transform(gid) for gid in chunk]
+
+
+_SIGTERM_CHILD = r"""
+import glob, json, os, signal, sys, time
+
+# Like the service's serve_forever: SIGTERM only sets a stop flag.
+signal.signal(signal.SIGTERM, lambda signum, frame: None)
+
+from multiprocessing.connection import wait
+
+from repro.core.pool import WarmPool
+
+
+def rendezvous(prefix):
+    # Returns once both workers run a task, i.e. both have initialized.
+    open(f"{prefix}.{os.getpid()}", "w").close()
+    deadline = time.monotonic() + 10.0
+    while len(glob.glob(prefix + ".*")) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
+
+
+def busy(marker):
+    open(marker, "w").close()
+    time.sleep(60)
+
+
+# 1. Idle workers die on SIGTERM.  (This pool is left behind: CPython's
+#    pool cannot recover from a worker killed while it held the task-queue
+#    lock, which an idle worker always does.)
+idle = WarmPool()
+assert len(set(idle.map(rendezvous, [sys.argv[1] + ".ready"] * 2, workers=2))) == 2
+workers = list(idle._pool._pool)
+for proc in workers:
+    os.kill(proc.pid, signal.SIGTERM)
+# Exit shows on each worker's sentinel; its exit code is no witness, since
+# the pool's own thread may reap the worker first.
+pending = {proc.sentinel: proc.pid for proc in workers}
+deadline = time.monotonic() + 5.0
+while pending and time.monotonic() < deadline:
+    for ready in wait(list(pending), timeout=deadline - time.monotonic()):
+        del pending[ready]
+survivors = sorted(pending.values())
+print(json.dumps({"survivors": survivors}), flush=True)
+
+# 2. shutdown() returns while workers are mid-task: terminate() takes the
+#    task-queue lock for good, so only SIGTERM can stop these workers.
+pool = WarmPool()
+assert pool.map(abs, [-1, -2], workers=2) == [1, 2]
+markers = [sys.argv[1] + f".{i}" for i in range(2)]
+pool._pool.map_async(busy, markers, chunksize=1)
+deadline = time.monotonic() + 5.0
+while not all(os.path.exists(m) for m in markers):
+    assert time.monotonic() < deadline, "workers never started"
+    time.sleep(0.01)
+start = time.monotonic()
+pool.shutdown()
+print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
+os._exit(0)
+"""
+
+
+class TestWorkerSignals:
+    def test_workers_die_on_sigterm_under_a_parent_handler(self, tmp_path):
+        """A parent with a Python SIGTERM handler (the service) forks its
+        workers after installing it; the workers must still die on SIGTERM,
+        or ``Pool.terminate()`` (which joins without a timeout) hangs."""
+        import json
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # Output goes to files, not pipes: the left-behind pool's workers
+        # inherit them and would hold a pipe open until they are killed.
+        out_path, err_path = tmp_path / "out", tmp_path / "err"
+        with open(out_path, "w") as out, open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _SIGTERM_CHILD, str(tmp_path / "busy")],
+                stdout=out, stderr=err, env=env, start_new_session=True,
+            )
+        try:
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                pass
+            out, err = out_path.read_text(), err_path.read_text()
+            lines = [json.loads(line) for line in out.splitlines() if line]
+            assert lines, f"child printed nothing (stderr: {err[-500:]})"
+            assert lines[0]["survivors"] == [], "workers survived SIGTERM"
+            assert len(lines) == 2, "shutdown() hung with busy workers"
+            assert lines[1]["shutdown_s"] < 5.0
+            assert proc.returncode == 0, err[-500:]
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()

@@ -5,14 +5,14 @@ import pytest
 from repro.exceptions import IndexError_
 from repro.graph import canonical_code
 from repro.index.a2f import A2FIndex
-from repro.mining import mine_frequent_fragments
+from repro.mining import mine_catalogs
 from repro.testing import small_database
 
 
 @pytest.fixture(scope="module")
 def setup():
     db = small_database(seed=2, num_graphs=25, max_nodes=7)
-    frequent = mine_frequent_fragments(db, 5, 5)
+    frequent, _ = mine_catalogs(db, 5, 5)
     beta = 2
     return db, frequent, A2FIndex(frequent, beta), beta
 

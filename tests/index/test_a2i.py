@@ -3,15 +3,14 @@
 import pytest
 
 from repro.index.a2i import A2IIndex
-from repro.mining import mine_difs, mine_frequent_fragments
+from repro.mining import mine_catalogs
 from repro.testing import small_database
 
 
 @pytest.fixture(scope="module")
 def setup():
     db = small_database(seed=2, num_graphs=25, max_nodes=7)
-    frequent = mine_frequent_fragments(db, 5, 4)
-    difs = mine_difs(db, frequent, 5, 4)
+    _, difs = mine_catalogs(db, 5, 4)
     return difs, A2IIndex(difs)
 
 

@@ -13,8 +13,7 @@ from repro.graph.canonical import canonical_code
 from repro.graph.database import GraphDatabase
 from repro.index import build_indexes
 from repro.index.sharded import merge_shard_catalogs, mine_sharded, partition_ids
-from repro.mining.dif import mine_difs
-from repro.mining.gspan import mine_frequent_fragments
+from repro.mining.dif import mine_catalogs
 from repro.testing import small_database
 
 PARAMS = MiningParams(min_support=0.25, size_threshold=3, max_fragment_edges=4)
@@ -28,9 +27,7 @@ def db():
 @pytest.fixture(scope="module")
 def serial(db):
     min_sup = PARAMS.absolute_support(len(db))
-    frequent = mine_frequent_fragments(db, min_sup, PARAMS.max_fragment_edges)
-    difs = mine_difs(db, frequent, min_sup, PARAMS.max_fragment_edges)
-    return frequent, difs
+    return mine_catalogs(db, min_sup, PARAMS.max_fragment_edges)
 
 
 def _assert_equivalent(sharded_catalog, serial_catalog):
@@ -111,11 +108,11 @@ class TestDegenerate:
         db = small_database(seed=2, num_graphs=1, max_nodes=5)
         frequent, difs = mine_sharded(db, PARAMS, 4)
         min_sup = PARAMS.absolute_support(len(db))
-        ref = mine_frequent_fragments(db, min_sup, PARAMS.max_fragment_edges)
-        assert set(frequent) == set(ref)
-        assert set(difs) == set(
-            mine_difs(db, ref, min_sup, PARAMS.max_fragment_edges)
+        ref_frequent, ref_difs = mine_catalogs(
+            db, min_sup, PARAMS.max_fragment_edges
         )
+        assert set(frequent) == set(ref_frequent)
+        assert set(difs) == set(ref_difs)
 
     def test_alpha_validated_before_mining(self, db):
         with pytest.raises(ValueError):

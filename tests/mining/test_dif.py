@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import GraphDatabase, canonical_code, is_subgraph_isomorphic
-from repro.mining import (
-    connected_one_smaller_subgraphs,
-    mine_difs,
-    mine_frequent_fragments,
-)
+from repro.mining import connected_one_smaller_subgraphs, mine_catalogs
 from repro.testing import all_connected_edge_subsets, graph_from_spec, small_database
 
 
@@ -19,8 +15,7 @@ from repro.testing import all_connected_edge_subsets, graph_from_spec, small_dat
 def mined():
     db = small_database(seed=1, num_graphs=20, max_nodes=6)
     min_sup, max_edges = 5, 4
-    frequent = mine_frequent_fragments(db, min_sup, max_edges)
-    difs = mine_difs(db, frequent, min_sup, max_edges)
+    frequent, difs = mine_catalogs(db, min_sup, max_edges)
     return db, min_sup, max_edges, frequent, difs
 
 
@@ -69,8 +64,7 @@ class TestCompleteness:
     def test_every_in_db_dif_is_mined(self, seed):
         db = small_database(seed=seed, num_graphs=12, max_nodes=6)
         min_sup, max_edges = 4, 3
-        frequent = mine_frequent_fragments(db, min_sup, max_edges)
-        difs = mine_difs(db, frequent, min_sup, max_edges)
+        frequent, difs = mine_catalogs(db, min_sup, max_edges)
         # brute-force DIFs among fragments occurring in the database
         support = defaultdict(set)
         rep = {}
@@ -96,8 +90,7 @@ class TestCompleteness:
         g1 = graph_from_spec({0: "A", 1: "A"}, [(0, 1)])
         g2 = graph_from_spec({0: "B", 1: "B"}, [(0, 1)])
         db = GraphDatabase([g1, g2])
-        frequent = mine_frequent_fragments(db, 2, 3)
-        difs = mine_difs(db, frequent, 2, 3)
+        frequent, difs = mine_catalogs(db, 2, 3)
         ab = canonical_code(graph_from_spec({0: "A", 1: "B"}, [(0, 1)]))
         assert ab in difs
         assert difs[ab].support == 0
