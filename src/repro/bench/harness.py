@@ -93,17 +93,14 @@ def synthetic_sweep_sizes() -> List[int]:
     return [scaled(s) for s in SYNTHETIC_SWEEP_SIZES]
 
 
-def scale_db(size: int, workers: int = 1) -> GraphDatabase:
-    """Chunk-generated AIDS-like corpus for the cold-build scale sweep.
-
-    Worker-count independent (see :mod:`repro.datasets.scale`), so cached
-    under the size alone.
-    """
+def scale_db(size: int) -> GraphDatabase:
+    """Chunk-generated AIDS-like corpus for the cold-build scale sweep
+    (:mod:`repro.datasets.scale`), cached under its size."""
     from repro.datasets.scale import generate_scaled
 
     key = f"scale:{size}"
     if key not in _DB_CACHE:
-        _DB_CACHE[key] = generate_scaled("aids", size, workers=workers)
+        _DB_CACHE[key] = generate_scaled("aids", size)
     return _DB_CACHE[key]
 
 

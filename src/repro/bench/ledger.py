@@ -79,9 +79,9 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
       ``bench_obs_overhead``;
     * ``pool.*`` — smoke-scale warm-pool vs cold-pool dispatch times over
       the same corpus (the cost bounded by ``bench_pool_warmup``);
-    * ``index.*`` — one cold serial mine and one sharded build of the same
-      60-graph corpus at sweep parameters (the cost swept at 10–100x scale
-      by ``bench_build_scaling``);
+    * ``index.build_cold_s`` — one cold mine of the same 60-graph corpus
+      at sweep parameters (the cost swept at 10–100x scale by
+      ``bench_build_scaling``);
     * ``session.*`` — one fuzzed formulation session replayed end to end
       under the default posture, plus its SRT fold (the Figure 9 smoke);
     * ``service.*`` — 25 concurrent scripted users against an in-process
@@ -156,15 +156,11 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
 
     # Last on purpose: a cold build churns allocator/GC state enough to
     # skew the latency-sensitive measurements if it ran before them.
-    from repro.bench.build_scaling import SWEEP_WORKERS, measure_build_point
+    from repro.bench.build_scaling import measure_build_point
     from repro.bench.harness import BUILD_SCALING_PARAMS
 
-    build = measure_build_point(
-        db, BUILD_SCALING_PARAMS, workers=SWEEP_WORKERS,
-        check_equivalence=False,
-    )
+    build = measure_build_point(db, BUILD_SCALING_PARAMS)
     metrics["index.build_cold_s"] = float(build["cold_s"])
-    metrics["index.build_sharded_s"] = float(build["sharded_s"])
     return metrics
 
 

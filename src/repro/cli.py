@@ -72,12 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="MF/DF fragment size threshold")
     index.add_argument("--max-edges", type=int, default=8,
                        help="largest mined fragment size")
-    index.add_argument("--workers", type=int, default=None,
-                       help="parallel build workers (default: "
-                            "REPRO_BUILD_WORKERS; 1 = serial mining)")
-    index.add_argument("--shards", type=int, default=None,
-                       help="database partitions for a sharded build "
-                            "(default: REPRO_BUILD_SHARDS; 0 = one per worker)")
     index.add_argument("--out", type=Path, required=True)
 
     query = sub.add_parser("query", help="answer one query graph")
@@ -274,9 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="minimum support when mining at startup")
     serve.add_argument("--beta", type=int, default=4)
     serve.add_argument("--max-edges", type=int, default=5)
-    serve.add_argument("--build-workers", type=int, default=None,
-                       help="parallel workers for the startup index build "
-                            "(default: REPRO_BUILD_WORKERS; 1 = serial)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=None,
                        help="default: $REPRO_SERVICE_PORT or 8765 "
@@ -325,27 +316,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _index_progress(kind: str, fields: dict) -> None:
-    """Render sharded-build progress events (mirrors the flight recorder)."""
-    if kind == "index.build.start":
-        print(f"  sharded build: {fields['db_size']} graphs, "
-              f"{fields['shards']} shards x {fields['workers']} workers")
-    elif kind == "index.build.shard":
-        print(f"  shard {fields['shard'] + 1}/{fields['shards']} mined "
-              f"({fields['graphs']} graphs, {fields['fragments']} candidates)")
-    elif kind == "index.build.merge":
-        print(f"  merged {fields['candidates']} candidates -> "
-              f"{fields['frequent']} frequent")
-
-
 def _cmd_index(args) -> int:
     db = read_database(args.database)
     params = MiningParams(args.alpha, args.beta, args.max_edges)
-    indexes = build_indexes(
-        db, params,
-        workers=args.workers, shards=args.shards,
-        progress=_index_progress,
-    )
+    indexes = build_indexes(db, params)
     written = save_indexes(indexes, args.out)
     print(f"mined {len(indexes.frequent)} frequent fragments and "
           f"{len(indexes.difs)} DIFs "
@@ -1064,14 +1038,12 @@ def _cmd_serve(args) -> int:
             indexes = load_indexes(args.indexes)
         else:
             indexes = build_indexes(
-                db, MiningParams(args.alpha, args.beta, args.max_edges),
-                workers=args.build_workers, progress=_index_progress,
+                db, MiningParams(args.alpha, args.beta, args.max_edges)
             )
     else:
         db = generate_aids_like(max(args.synthetic, 10), seed=args.seed)
         indexes = build_indexes(
-            db, MiningParams(args.alpha, args.beta, args.max_edges),
-            workers=args.build_workers, progress=_index_progress,
+            db, MiningParams(args.alpha, args.beta, args.max_edges)
         )
     plane = SharedPlane(db, indexes)
     plane.warm()  # pay the arena build before the first Run, not during it

@@ -91,43 +91,6 @@ def arena_enabled() -> bool:
     return os.environ.get("REPRO_ARENA", "1") not in ("0", "false", "no")
 
 
-def build_workers() -> int:
-    """Worker count for sharded parallel index builds (``REPRO_BUILD_WORKERS``).
-
-    ``1`` (the default) keeps :func:`repro.index.build_indexes` on the
-    serial mining path — bit-for-bit the historical behaviour.  ``N > 1``
-    routes construction through the sharded pipeline
-    (:mod:`repro.index.sharded`): the database is partitioned, shards are
-    mined in parallel worker processes, and the shard catalogs are merged
-    with an exact global support recount.  ``0`` means one worker per CPU.
-    The sharded build produces indexes equivalent to the serial build at
-    any worker count (property-tested and oracle-pinned).
-    """
-    try:
-        value = int(os.environ.get("REPRO_BUILD_WORKERS", "1"))
-    except ValueError:
-        value = 1
-    if value >= 1:
-        return value
-    return os.cpu_count() or 1
-
-
-def build_shards() -> int:
-    """Number of database partitions for a sharded index build
-    (``REPRO_BUILD_SHARDS``, default ``0`` = one shard per build worker).
-
-    More shards than workers gives finer progress events at slightly more
-    merge work; fewer makes no sense and is clamped up to the worker count
-    by the builder.  Like every other knob, shard count never changes the
-    resulting indexes, only how the mining work is partitioned.
-    """
-    try:
-        value = int(os.environ.get("REPRO_BUILD_SHARDS", "0"))
-    except ValueError:
-        value = 0
-    return max(value, 0)
-
-
 def canonical_cache_size() -> int:
     """Bound on the process-wide canonical-code LRU (``REPRO_CANONICAL_CACHE``)."""
     try:

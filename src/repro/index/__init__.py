@@ -4,7 +4,6 @@ from repro.index.a2f import A2FIndex, A2FVertex, FragmentCluster
 from repro.index.a2i import A2IEntry, A2IIndex
 from repro.index.builder import ActionAwareIndexes, build_indexes, database_fingerprint
 from repro.index.maintenance import AppendReport, IncrementalIndexMaintainer
-from repro.index.sharded import merge_shard_catalogs, mine_sharded, partition_ids
 from repro.index.persistence import (
     a2f_size_bytes,
     a2i_size_bytes,
@@ -35,7 +34,4 @@ __all__ = [
     "load_indexes_arena",
     "IncrementalIndexMaintainer",
     "AppendReport",
-    "mine_sharded",
-    "merge_shard_catalogs",
-    "partition_ids",
 ]

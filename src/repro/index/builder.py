@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.config import MiningParams, build_shards, build_workers
+from repro.config import MiningParams
 from repro.graph.database import GraphDatabase
 from repro.index.a2f import A2FIndex
 from repro.index.a2i import A2IIndex
@@ -61,8 +61,8 @@ def database_fingerprint(db: GraphDatabase, params: MiningParams) -> str:
 def mine_serial(
     db: GraphDatabase, params: MiningParams
 ) -> Tuple[FragmentCatalog, FragmentCatalog]:
-    """The serial cold build's mining: ``(frequent, difs)`` in one gSpan
-    pass, DIF supports read off its projections
+    """The cold build's mining: ``(frequent, difs)`` in one gSpan pass,
+    DIF supports read off its projections
     (:func:`repro.mining.dif.mine_catalogs`)."""
     return mine_catalogs(
         db, params.absolute_support(len(db)), params.max_fragment_edges
@@ -73,25 +73,13 @@ def build_indexes(
     db: GraphDatabase,
     params: Optional[MiningParams] = None,
     cache_dir: Optional[Path] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    progress=None,
 ) -> ActionAwareIndexes:
-    """Mine and build the A2F/A2I indexes for ``db``.
+    """Mine (:func:`mine_serial`) and build the A2F/A2I indexes for ``db``.
 
     With ``cache_dir`` set, a previous build for the identical database and
     parameters is loaded from disk instead of re-mined.
-
-    ``workers``/``shards`` default to the ``REPRO_BUILD_WORKERS`` /
-    ``REPRO_BUILD_SHARDS`` knobs.  ``workers == 1`` with default shards is
-    the serial mining path; anything else routes through the sharded
-    pipeline (:mod:`repro.index.sharded`), which produces equivalent indexes
-    and reports per-shard ``progress`` events (also mirrored into the flight
-    recorder, so ``repro top`` shows build progress).
     """
     params = params or MiningParams()
-    workers = build_workers() if workers is None else max(1, workers)
-    shards = build_shards() if shards is None else max(0, shards)
     cache_path: Optional[Path] = None
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
@@ -102,14 +90,7 @@ def build_indexes(
                 frequent, difs = pickle.load(handle)
             return _assemble(db, params, frequent, difs)
 
-    if workers > 1 or shards > 1:
-        from repro.index.sharded import mine_sharded
-
-        frequent, difs = mine_sharded(
-            db, params, workers, shards, progress=progress
-        )
-    else:
-        frequent, difs = mine_serial(db, params)
+    frequent, difs = mine_serial(db, params)
 
     if cache_path is not None:
         with cache_path.open("wb") as handle:

@@ -17,44 +17,27 @@ Generation is Apriori-style, which is complete for DIFs:
   deduplicated by canonical code (the first parent in catalog order wins) and
   minimality is checked against the frequent catalog.
 
-A candidate's exact ``fsgIds`` come from one of two sources.  The serial
-build (:func:`mine_catalogs`) reads them off gSpan's projected database:
+A candidate's exact ``fsgIds`` are read off gSpan's projected database:
 the miner keeps every embedding of each frequent fragment ``f``, so
 ``f + e`` occurs in a graph iff some embedding of ``f`` there extends by
 ``e`` (:attr:`repro.mining.gspan.GSpanMiner.extension_supports`) — no
-isomorphism test at all.  Callers that hold no global projections (the
-sharded build's merge) use :func:`recount_support`, which verifies subgraph
-isomorphism on the intersection of the frequent subgraphs' FSG lists.
+isomorphism test at all.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.canonical import CanonicalCode, canonical_code
 from repro.graph.database import GraphDatabase
-from repro.graph.isomorphism import is_subgraph_isomorphic
 from repro.graph.labeled_graph import Graph
 from repro.mining.fragments import Fragment, FragmentCatalog
-from repro.mining.gspan import ExtensionKey, GSpanMiner, LabelTriple
-
-#: ``support(parent_code, key, candidate, sub_codes)`` -> the candidate's
-#: exact FSG ids; ``candidate`` is the parent fragment plus extension ``key``
-#: and ``sub_codes`` the codes of its connected one-smaller subgraphs (all
-#: frequent).
-SupportFn = Callable[
-    [CanonicalCode, ExtensionKey, Graph, List[CanonicalCode]], FrozenSet[int]
-]
+from repro.mining.gspan import (
+    ExtensionKey,
+    ExtensionSupports,
+    GSpanMiner,
+    LabelTriple,
+)
 
 
 def _single_edge_graph(la: str, le: str, lb: str) -> Graph:
@@ -69,20 +52,18 @@ def _one_edge_extensions(
     f: Graph,
     node_labels: Sequence[str],
     edge_labels: Sequence[Optional[str]],
-    frequent_triples: Optional[Set[LabelTriple]] = None,
+    frequent_triples: Set[LabelTriple],
 ) -> Iterable[Tuple[ExtensionKey, Graph]]:
-    """All graphs obtained from ``f`` by adding exactly one edge, each with
-    the :data:`~repro.mining.gspan.ExtensionKey` of the edge it adds.
+    """All graphs obtained from ``f`` by adding exactly one edge whose label
+    triple is frequent, each with the
+    :data:`~repro.mining.gspan.ExtensionKey` of the edge it adds.
 
-    With ``frequent_triples`` given, extensions whose new edge is itself an
-    infrequent single-edge fragment are skipped: such a candidate contains an
-    infrequent proper subgraph and can never be a DIF (k ≥ 2).  This prunes
-    the bulk of the Apriori candidate space.
+    An extension whose new edge is itself an infrequent single-edge fragment
+    contains an infrequent proper subgraph and can never be a DIF (k ≥ 2);
+    skipping those prunes the bulk of the Apriori candidate space.
     """
 
     def triple_ok(la: str, el: str, lb: str) -> bool:
-        if frequent_triples is None:
-            return True
         if la > lb:
             la, lb = lb, la
         return (la, el, lb) in frequent_triples
@@ -162,49 +143,29 @@ def dif_level1(
     return difs
 
 
-def recount_support(db: GraphDatabase, frequent: FragmentCatalog) -> SupportFn:
-    """Candidate support by subgraph-isomorphism tests on the intersection
-    of its frequent subgraphs' FSG lists — for callers without projections."""
-
-    def support(_parent, _key, candidate, sub_codes):
-        candidate_ids: Optional[Set[int]] = None
-        for sc in sub_codes:
-            ids = frequent[sc].fsg_ids
-            candidate_ids = set(ids) if candidate_ids is None else candidate_ids & ids
-        assert candidate_ids is not None
-        return frozenset(
-            gid for gid in candidate_ids if is_subgraph_isomorphic(candidate, db[gid])
-        )
-
-    return support
-
-
 def dif_extensions(
     frequent: FragmentCatalog,
-    codes: Sequence[CanonicalCode],
-    min_support_abs: int,
+    extension_supports: Dict[CanonicalCode, ExtensionSupports],
     max_edges: int,
     node_labels: Sequence[str],
     edge_labels: Sequence[Optional[str]],
     frequent_triples: Set[LabelTriple],
-    seen: Set[CanonicalCode],
-    support: SupportFn,
 ) -> FragmentCatalog:
-    """Level ≥ 2 DIFs reachable by extending the frequent fragments ``codes``.
+    """Level ≥ 2 DIFs: the one-edge extensions of the frequent fragments.
 
-    ``frequent`` must be the *complete* global frequent catalog (minimality
-    checks read it); ``codes`` selects which fragments to extend — the full
-    key set for a serial mine, one chunk of it per worker in the sharded
-    build.  Extending different chunks can reach the same DIF; duplicates
-    carry identical codes and FSG-id lists (``support`` is exact), so a
-    first-wins merge is exact.  ``seen`` is consumed destructively (pass a
-    copy to share a baseline).
+    ``frequent`` is the complete frequent catalog (minimality checks read
+    it) and ``extension_supports`` the miner's record of which graphs
+    realize each below-threshold extension
+    (:attr:`~repro.mining.gspan.GSpanMiner.extension_supports`); an
+    extension it does not list occurs in no graph.  Candidates reached from
+    several parents are kept once, from the first parent in catalog order.
     """
     difs: FragmentCatalog = {}
-    for code in codes:
-        frag = frequent[code]
+    seen: Set[CanonicalCode] = set()
+    for code, frag in frequent.items():
         if frag.size >= max_edges:
             continue  # extension would exceed the indexable size
+        realized = extension_supports[code]
         for key, candidate in _one_edge_extensions(
             frag.graph, node_labels, edge_labels, frequent_triples
         ):
@@ -212,16 +173,14 @@ def dif_extensions(
             if cand_code in seen or cand_code in frequent:
                 continue
             seen.add(cand_code)
-            sub_codes = [
-                canonical_code(s) for s in connected_one_smaller_subgraphs(candidate)
-            ]
-            if not all(sc in frequent for sc in sub_codes):
+            if not all(
+                canonical_code(s) in frequent
+                for s in connected_one_smaller_subgraphs(candidate)
+            ):
                 continue  # some subgraph infrequent -> candidate is a NIF
-            fsg = support(code, key, candidate, sub_codes)
-            if len(fsg) >= min_support_abs:
-                # Frequent after all — possible only beyond the mining bound;
-                # such fragments are neither frequent-indexed nor DIFs.
-                continue
+            # A fresh empty set per DIF: shared objects would shrink the
+            # pickled size accounting (pickle memoizes repeated objects).
+            fsg = realized.get(key) or frozenset()
             difs[cand_code] = Fragment(
                 code=cand_code, graph=candidate, fsg_ids=fsg
             )
@@ -237,7 +196,7 @@ def mine_catalogs(
     (level-1 DIFs) and every extension's support (levels ≥ 2), so DIF
     mining runs no subgraph-isomorphism test.
     """
-    miner = GSpanMiner(db, min_support_abs, max_edges, record_extensions=True)
+    miner = GSpanMiner(db, min_support_abs, max_edges)
     frequent = miner.mine()
     node_labels = list(db.node_label_universe())
     edge_labels = list(db.edge_label_universe())
@@ -252,18 +211,10 @@ def mine_catalogs(
     frequent_triples: Set[LabelTriple] = {
         key for key, ids in supports.items() if len(ids) >= min_support_abs
     }
-    realized = miner.extension_supports
-
-    def support(parent, key, _candidate, _sub_codes):
-        # A fresh empty set per DIF: shared objects would shrink the
-        # pickled size accounting (pickle memoizes repeated objects).
-        return realized[parent].get(key) or frozenset()
-
     difs.update(
         dif_extensions(
-            frequent, list(frequent), min_support_abs, max_edges,
-            node_labels, edge_labels, frequent_triples, seen=set(difs),
-            support=support,
+            frequent, miner.extension_supports, max_edges,
+            node_labels, edge_labels, frequent_triples,
         )
     )
     return frequent, difs

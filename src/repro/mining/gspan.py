@@ -17,12 +17,12 @@ database implementation:
 
 The miner returns every frequent fragment up to ``max_edges`` together with
 its full ``fsgIds`` list — the raw material for the A2F-index and for DIF
-generation (:mod:`repro.mining.dif`).  With ``record_extensions=True`` it
-also keeps, for every fragment that can still grow, the graph ids realizing
-each of its one-edge extensions (:attr:`GSpanMiner.extension_supports`):
-gSpan stores *every* embedding of a minimal DFS code, so ``f + e`` occurs
-in a graph iff some stored embedding of ``f`` there extends by ``e``.
-Those sets are the exact supports of the DIF candidates.
+generation (:mod:`repro.mining.dif`).  It also keeps, for every fragment
+that can still grow, the graph ids realizing each of its one-edge
+extensions (:attr:`GSpanMiner.extension_supports`): gSpan stores *every*
+embedding of a minimal DFS code, so ``f + e`` occurs in a graph iff some
+stored embedding of ``f`` there extends by ``e``.  Those sets are the exact
+supports of the DIF candidates.
 """
 
 from __future__ import annotations
@@ -90,16 +90,10 @@ class GSpanMiner:
     max_edges:
         Fragments larger than this are not mined (the indexes only ever serve
         query fragments up to the maximum visual query size).
-    record_extensions:
-        Also fill :attr:`extension_supports` (the DIF candidates' supports).
     """
 
     def __init__(
-        self,
-        db: GraphDatabase,
-        min_support_abs: int,
-        max_edges: int,
-        record_extensions: bool = False,
+        self, db: GraphDatabase, min_support_abs: int, max_edges: int
     ) -> None:
         if min_support_abs < 1:
             raise MiningError("absolute support threshold must be >= 1")
@@ -108,13 +102,12 @@ class GSpanMiner:
         self.db = db
         self.min_support = min_support_abs
         self.max_edges = max_edges
-        self.record_extensions = record_extensions
         self._result: FragmentCatalog = {}
         self._rows: Dict[int, _Rows] = {}
         #: Single-edge supports of the whole database (set by :meth:`mine`).
         self.edge_supports: Dict[LabelTriple, Set[int]] = {}
         #: Fragment code -> its extensions' supports, for every fragment
-        #: below ``max_edges`` (only with ``record_extensions``).
+        #: below ``max_edges`` (set by :meth:`mine`).
         self.extension_supports: Dict[CanonicalCode, ExtensionSupports] = {}
 
     # ------------------------------------------------------------------
@@ -197,12 +190,12 @@ class GSpanMiner:
     ) -> Dict[CodeTuple, _Projection]:
         """All rightmost-path extensions with their projected databases.
 
-        With ``record_extensions`` the same walk visits every pattern node
-        (not just the rightmost path) and records the graph ids realizing
-        each one-edge extension into :attr:`extension_supports`.  Children
-        that will never be extended (size ``max_edges``) only need the ids
-        of the graphs they occur in, which are read off the same per-graph
-        sets of realized extensions instead of building embeddings.
+        The same walk visits every pattern node (not just the rightmost
+        path) and records the graph ids realizing each one-edge extension
+        into :attr:`extension_supports`.  Children that will never be
+        extended (size ``max_edges``) only need the ids of the graphs they
+        occur in, which are read off the same per-graph sets of realized
+        extensions instead of building embeddings.
         """
         pattern = code.to_graph()
         nv = code.num_vertices
@@ -213,10 +206,7 @@ class GSpanMiner:
         padj = [frozenset(pattern.neighbors(i)) for i in range(nv)]
         # Backward targets: rightmost-path ancestors not yet adjacent to rm.
         backward = frozenset(j for j in rmp[:-1] if j not in padj[rm])
-        record = self.record_extensions
-        walk = range(nv) if record else rmp
         grow = len(code) + 1 < self.max_edges  # children will be extended
-        track = record or not grow  # per-graph sets of realized extensions
         out: Dict[CodeTuple, _Projection] = {}
         realized: Dict[ExtensionKey, List[int]] = {}
         for gid, embeddings in projection.items():
@@ -224,7 +214,7 @@ class GSpanMiner:
             local: Dict[CodeTuple, List[_Embedding]] = {}
             keys: Set[ExtensionKey] = set()
             for emb in embeddings:
-                for i in walk:
+                for i in range(nv):
                     for w, el, lw in rows[emb[i]]:
                         if w in emb:
                             # Closing edge (j, i); each is met from both
@@ -232,14 +222,12 @@ class GSpanMiner:
                             j = emb.index(w)
                             if j >= i or j in padj[i]:
                                 continue
-                            if track:
-                                keys.add((j, i, el, plabel[i]))
+                            keys.add((j, i, el, plabel[i]))
                             if grow and i == rm and j in backward:
                                 tup: CodeTuple = (rm, j, plabel[rm], el, lw)
                                 local.setdefault(tup, []).append(emb)
                             continue
-                        if track:
-                            keys.add((i, nv, el, lw))
+                        keys.add((i, nv, el, lw))
                         if grow and on_rmp[i]:
                             tup = (i, nv, plabel[i], el, lw)
                             local.setdefault(tup, []).append(emb + (w,))
@@ -257,15 +245,13 @@ class GSpanMiner:
                     else:
                         continue
                     out.setdefault(tup, set()).add(gid)
-            if record:
-                for key in keys:
-                    realized.setdefault(key, []).append(gid)
-        if record:
-            self.extension_supports[code.canonical()] = {
-                key: frozenset(gids)
-                for key, gids in realized.items()
-                if len(gids) < self.min_support
-            }
+            for key in keys:
+                realized.setdefault(key, []).append(gid)
+        self.extension_supports[code.canonical()] = {
+            key: frozenset(gids)
+            for key, gids in realized.items()
+            if len(gids) < self.min_support
+        }
         return out
 
 

@@ -110,6 +110,26 @@ def all_connected_edge_subsets(
     return results
 
 
+def brute_force_frequent(
+    db: GraphDatabase, min_support: int, max_edges: int
+) -> Dict[Tuple, Set[int]]:
+    """Ground truth for frequent-fragment mining: every connected fragment
+    of every graph (up to ``max_edges`` edges) with support ≥
+    ``min_support``, as canonical code -> ids of the graphs containing it."""
+    from repro.graph.canonical import canonical_code
+
+    support: Dict[Tuple, Set[int]] = {}
+    for gid, g in db.items():
+        codes = set()
+        for subset in all_connected_edge_subsets(g, max_edges):
+            codes.add(canonical_code(g.edge_subgraph(subset)))
+        for code in codes:
+            support.setdefault(code, set()).add(gid)
+    return {
+        code: ids for code, ids in support.items() if len(ids) >= min_support
+    }
+
+
 def brute_force_mccs(q: Graph, g: Graph) -> int:
     """``|mccs(g, q)|`` by exhaustive subset enumeration + brute embedding."""
     from repro.graph.isomorphism import is_subgraph_isomorphic

@@ -133,7 +133,6 @@ def test_operations_page_covers_the_serve_knob_families():
     """OPERATIONS.md must mention every serve-relevant knob family."""
     operations = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
     for knob in (
-        "REPRO_BUILD_WORKERS",
         "REPRO_SERVICE_MAX_SESSIONS",
         "REPRO_SERVICE_TTL",
         "REPRO_WORKERS",
@@ -146,7 +145,7 @@ def test_operations_page_covers_the_serve_knob_families():
 
 
 def test_tutorial_reaches_the_service_layer():
-    """The walkthrough must end at dataset → sharded build → serve → top."""
+    """The walkthrough must end at dataset → build → serve → top."""
     tutorial = (REPO_ROOT / "docs" / "TUTORIAL.md").read_text()
     assert "python -m repro generate" in tutorial
     assert "python -m repro index" in tutorial

@@ -10,7 +10,6 @@ import pytest
 
 import repro.core.prague
 import repro.datasets.scale
-import repro.index.sharded
 import repro.obs
 import repro.obs.metrics
 import repro.obs.srt
@@ -19,7 +18,6 @@ import repro.obs.tracer
 MODULES = [
     repro.core.prague,
     repro.datasets.scale,
-    repro.index.sharded,
     repro.obs,
     repro.obs.tracer,
     repro.obs.metrics,

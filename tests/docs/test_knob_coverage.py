@@ -69,8 +69,8 @@ def test_knob_coverage_is_nontrivial():
     assert {
         "REPRO_SCALE",
         "REPRO_WORKERS",
-        "REPRO_BUILD_WORKERS",
-        "REPRO_BUILD_SHARDS",
+        "REPRO_POOL_WARM",
+        "REPRO_CANONICAL_CACHE",
         "REPRO_ARENA",
     } <= knobs
     assert len(_TABLE_ROW.findall(CONFIG_DOC.read_text())) >= 15

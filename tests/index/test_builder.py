@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import MiningParams
+from repro.graph import GraphDatabase
 from repro.index import build_indexes, database_fingerprint
-from repro.testing import small_database
+from repro.testing import brute_force_frequent, small_database
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,34 @@ class TestBuild:
     def test_default_params(self, db):
         idx = build_indexes(db)
         assert idx.params.min_support == 0.1
+
+
+class TestDegenerate:
+    def test_empty_database(self):
+        idx = build_indexes(GraphDatabase(), MiningParams(0.2, 2, 4))
+        assert idx.frequent == {} and idx.difs == {}
+        assert idx.db_size == 0
+
+    def test_single_graph(self):
+        """Support 1: every fragment of the one graph is frequent, and every
+        DIF occurs nowhere."""
+        db = small_database(seed=2, num_graphs=1, max_nodes=5)
+        idx = build_indexes(db, MiningParams(0.2, 2, 4))
+        assert idx.min_support_abs == 1
+        truth = brute_force_frequent(db, 1, 4)
+        assert set(idx.frequent) == set(truth)
+        assert all(f.fsg_ids == {0} for f in idx.frequent.values())
+        assert idx.difs and all(not f.fsg_ids for f in idx.difs.values())
+
+    def test_alpha_validated_before_mining(self, db, monkeypatch):
+        """An out-of-range alpha is refused before any mining starts."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mined with an invalid alpha")
+
+        monkeypatch.setattr("repro.index.builder.mine_catalogs", refuse)
+        with pytest.raises(ValueError):
+            build_indexes(db, MiningParams(min_support=1.5))
 
 
 class TestCaching:

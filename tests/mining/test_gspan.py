@@ -1,8 +1,5 @@
 """gSpan: exact agreement with brute-force frequent-fragment enumeration."""
 
-import random
-from collections import defaultdict
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,21 +7,7 @@ from hypothesis import strategies as st
 from repro.exceptions import MiningError
 from repro.graph import GraphDatabase, canonical_code
 from repro.mining import mine_frequent_fragments
-from repro.testing import all_connected_edge_subsets, graph_from_spec, small_database
-
-
-def brute_force_frequent(db, min_support, max_edges):
-    """Ground truth: enumerate every connected fragment of every graph."""
-    support = defaultdict(set)
-    for gid, g in db.items():
-        codes = set()
-        for subset in all_connected_edge_subsets(g, max_edges):
-            codes.add(canonical_code(g.edge_subgraph(subset)))
-        for code in codes:
-            support[code].add(gid)
-    return {
-        code: ids for code, ids in support.items() if len(ids) >= min_support
-    }
+from repro.testing import brute_force_frequent, graph_from_spec, small_database
 
 
 class TestAgainstBruteForce:

@@ -1,8 +1,8 @@
-"""The one-pass serial build: DIF supports read off gSpan's projections.
+"""The one-pass build: DIF supports read off gSpan's projections.
 
-:func:`repro.mining.dif.mine_catalogs` must produce exactly what the VF2
-recount produces (the sharded build, which keeps it) and what a brute-force
-scan of the database says, while running no subgraph-isomorphism test.
+:func:`repro.mining.dif.mine_catalogs` must produce exactly what a
+brute-force scan of the database says, while running no
+subgraph-isomorphism test.
 """
 
 import random
@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MiningParams
-from repro.graph import GraphDatabase, is_subgraph_isomorphic
+from repro.graph import GraphDatabase, canonical_code, is_subgraph_isomorphic
 from repro.graph.isomorphism import CompiledPattern
 from repro.graph.labeled_graph import Graph
 from repro.index import build_indexes
-from repro.index.sharded import mine_sharded
-from repro.mining import mine_catalogs
-from repro.testing import small_database
+from repro.mining import connected_one_smaller_subgraphs, mine_catalogs
+from repro.testing import (
+    all_connected_edge_subsets,
+    brute_force_frequent,
+    small_database,
+)
 
 
 def _with_edge_labels(db, seed):
@@ -48,24 +51,44 @@ def _scan(graph, db):
     return frozenset(gid for gid, g in db.items() if is_subgraph_isomorphic(graph, g))
 
 
+def _in_db_difs(db, min_sup, max_edges, frequent_codes):
+    """Brute-force DIFs among the fragments occurring in ``db``: code ->
+    ids of the graphs containing it."""
+    support = {}
+    rep = {}
+    for gid, g in db.items():
+        for subset in all_connected_edge_subsets(g, max_edges):
+            sub = g.edge_subgraph(subset)
+            code = canonical_code(sub)
+            support.setdefault(code, set()).add(gid)
+            rep.setdefault(code, sub)
+    out = {}
+    for code, ids in support.items():
+        if len(ids) >= min_sup:
+            continue
+        smaller = connected_one_smaller_subgraphs(rep[code])
+        if all(canonical_code(s) in frequent_codes for s in smaller):
+            out[code] = ids  # a single edge has no smaller fragment
+    return out
+
+
 class TestNoIsomorphismTests:
     @pytest.fixture
     def no_vf2(self, monkeypatch):
         def refuse(*_args, **_kwargs):
-            raise AssertionError("VF2 ran during the serial build")
+            raise AssertionError("VF2 ran during the build")
 
         monkeypatch.setattr(CompiledPattern, "iter_embeddings", refuse)
 
     def test_serial_build_runs_no_vf2(self, no_vf2):
         db = small_database(seed=3, num_graphs=24, max_nodes=7)
-        idx = build_indexes(db, _params(db, 4, 4), workers=1)
+        idx = build_indexes(db, _params(db, 4, 4))
         assert any(f.size >= 2 for f in idx.difs.values())
 
-    def test_patch_catches_the_vf2_recount(self, no_vf2):
-        """The sharded build still recounts by VF2, so the patch bites."""
+    def test_patch_catches_a_vf2_test(self, no_vf2):
         db = small_database(seed=3, num_graphs=24, max_nodes=7)
         with pytest.raises(AssertionError, match="VF2 ran"):
-            mine_sharded(db, _params(db, 4, 4), 1, shards=3)
+            is_subgraph_isomorphic(db[0], db[1])
 
 
 class TestExactness:
@@ -76,16 +99,25 @@ class TestExactness:
         st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matches_vf2_recount_and_scan(self, seed, min_sup, max_edges, labeled):
+    def test_matches_brute_force(self, seed, min_sup, max_edges, labeled):
         db = small_database(seed=seed, num_graphs=12, max_nodes=6)
         if labeled:
             db = _with_edge_labels(db, seed)
         frequent, difs = mine_catalogs(db, min_sup, max_edges)
-        ref_frequent, ref_difs = mine_sharded(
-            db, _params(db, min_sup, max_edges), 1, shards=3
-        )
-        for mined, ref in ((frequent, ref_frequent), (difs, ref_difs)):
-            assert set(mined) == set(ref)
-            for code, frag in mined.items():
-                assert frag.fsg_ids == ref[code].fsg_ids
+
+        truth = brute_force_frequent(db, min_sup, max_edges)
+        assert set(frequent) == set(truth)
+        for code, frag in frequent.items():
+            assert frag.fsg_ids == truth[code]
+
+        in_db = _in_db_difs(db, min_sup, max_edges, set(truth))
+        assert {code for code, frag in difs.items() if frag.fsg_ids} == set(in_db)
+        for code, ids in in_db.items():
+            assert difs[code].fsg_ids == ids
+        for frag in difs.values():  # zero-support DIFs are minimal too
+            smaller = connected_one_smaller_subgraphs(frag.graph)
+            assert all(canonical_code(s) in truth for s in smaller)
+
+        for catalog in (frequent, difs):
+            for frag in catalog.values():
                 assert frag.fsg_ids == _scan(frag.graph, db)

@@ -130,16 +130,17 @@ class TestAttribution:
         assert PROFILER.slice_for_request("req-42")
         assert PROFILER.slice_for_request("other-request") == {}
 
-    def test_nested_actions_restore_the_outer_scope(self):
-        PROFILER.force(500.0)
+    def test_nested_actions_restore_the_outer_scope(self, monkeypatch):
+        # Scopes on but no sampler thread: each sample is taken by hand, so
+        # it sees exactly the scope in force at that line.
+        monkeypatch.setattr(PROFILER, "enabled", True)
         with profile_action("outer"):
             with profile_action("inner"):
-                _wait_for_samples(1)
+                PROFILER._sample_once()
             before = {
                 s["action"] for s in PROFILER.collect()["slices"]
             }
-            start = PROFILER.samples
-            _wait_for_samples(start + 1)
+            PROFILER._sample_once()
         actions = {s["action"] for s in PROFILER.collect()["slices"]}
         assert "inner" in before
         assert "outer" in actions  # post-inner samples re-attribute to outer
