@@ -1,16 +1,16 @@
-"""Warm-pool dispatch benchmark — the cold start leaves the SRT budget.
+"""Warm-pool dispatch benchmark — what a Run pays once the pool is up.
 
-Not a paper figure: this suite guards the warm verification pool and the
-shared-memory arena (:mod:`repro.core.pool`, :mod:`repro.index.arena`)
-against regression.  One full-corpus ``verify_batch`` is dispatched under
-three configurations on identical inputs — serial, cold pool (a fresh
-``Pool`` per dispatch, the pre-warm-pool behaviour) and warm pool (reused
-arena-attached workers) — with identical answers asserted, and the floor
-enforced:
+Not a paper figure: this suite records the cost of the warm verification
+pool and the shared-memory arena (:mod:`repro.core.pool`,
+:mod:`repro.index.arena`).  One full-corpus ``verify_batch`` is dispatched
+serially and on the warm pool (reused arena-attached workers) on identical
+inputs, with identical answers asserted.  No speed floor is enforced: the
+table is the input for deciding when a batch is worth pooling.  That a
+dispatch reuses the running workers is checked by
+``tests/core/test_warm_pool.py::TestWarmPoolLifecycle``.
 
-* warm-pool dispatch ≥ 2× faster than cold-pool dispatch.
-
-``python -m repro bench-smoke`` runs the same code at toy scale for CI.
+``python -m repro perf`` runs the same code at smoke scale (its
+``pool.warm_dispatch_s`` metric).
 """
 
 import pytest
@@ -19,8 +19,6 @@ from repro.bench import emit, format_table
 from repro.bench.harness import aids_db
 from repro.bench.pool_warmup import run_pool_warmup
 
-WARM_OVER_COLD_FLOOR = 2.0
-
 
 @pytest.mark.benchmark(group="pool_warmup")
 def test_pool_warmup(benchmark):
@@ -28,16 +26,14 @@ def test_pool_warmup(benchmark):
     data = run_pool_warmup(db, smoke=False)
 
     rows = [
-        ["serial (workers=1)", f"{data['serial_s'] * 1000:.2f}", "—"],
-        ["cold pool (spawn per dispatch)", f"{data['cold_s'] * 1000:.2f}",
-         "1.00x"],
+        ["serial (workers=1)", f"{data['serial_s'] * 1000:.2f}", "1.00x"],
         ["warm pool (reused workers)", f"{data['warm_s'] * 1000:.2f}",
-         f"{data['warm_speedup']:.2f}x"],
+         f"{data['warm_vs_serial']:.2f}x"],
     ]
     table = format_table(
         f"Pool dispatch: |D|={data['corpus']}, workers={data['workers']} "
         f"(one-time warm spawn {data['spawn_s'] * 1000:.2f} ms)",
-        ["configuration", "dispatch (ms)", "vs cold"],
+        ["configuration", "dispatch (ms)", "speed vs serial"],
         rows,
     )
     emit("pool_warmup", table, data)
@@ -50,9 +46,7 @@ def test_pool_warmup(benchmark):
 
     query = _sample_query(db, random.Random(7), edges=4)
     ids = list(db.ids())
-    with _env(REPRO_POOL_MIN_CANDIDATES="1", REPRO_POOL_WARM="1"):
+    with _env(REPRO_POOL_MIN_CANDIDATES="1"):
         verify_batch(query, ids, db, workers=4)  # spawn outside the timer
         benchmark(lambda: verify_batch(query, ids, db, workers=4))
         pool_mod.shutdown()
-
-    assert data["warm_speedup"] >= WARM_OVER_COLD_FLOOR

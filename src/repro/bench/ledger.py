@@ -77,8 +77,8 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
       observability primitives (disabled span/count, sync, enabled
       histogram/recorder), i.e. the cost bounded by
       ``bench_obs_overhead``;
-    * ``pool.*`` — smoke-scale warm-pool vs cold-pool dispatch times over
-      the same corpus (the cost bounded by ``bench_pool_warmup``);
+    * ``pool.warm_dispatch_s`` — one smoke-scale warm-pool dispatch over
+      the same corpus (the cost measured by ``bench_pool_warmup``);
     * ``index.build_cold_s`` — one cold mine of the same 60-graph corpus
       at sweep parameters (the cost swept at 10–100x scale by
       ``bench_build_scaling``);
@@ -114,7 +114,6 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
     metrics["obs.probe_loop_s"] = probe_loop * sum(costs.values())
 
     warmup = run_pool_warmup(db, smoke=True, seed=seed)
-    metrics["pool.cold_dispatch_s"] = float(warmup["cold_s"])
     metrics["pool.warm_dispatch_s"] = float(warmup["warm_s"])
 
     trace = generate_trace(seed=seed)

@@ -54,18 +54,6 @@ def pool_min_candidates() -> int:
     return max(value, 1)
 
 
-def pool_warm() -> bool:
-    """Whether the verification pool persists across batches
-    (``REPRO_POOL_WARM``, default on).
-
-    Warm mode keeps one long-lived pool attached to the shared-memory index
-    arena; each *Run* dispatches into already-running workers instead of
-    paying fork/spawn startup.  ``REPRO_POOL_WARM=0`` restores the
-    pool-per-call behaviour (what the cold-dispatch benchmark measures).
-    """
-    return os.environ.get("REPRO_POOL_WARM", "1") not in ("0", "false", "no")
-
-
 def pool_idle_ttl() -> float:
     """Seconds an idle warm pool survives before the next dispatch respawns
     it (``REPRO_POOL_TTL``, default 300, ``0`` disables expiry)."""
@@ -76,21 +64,6 @@ def pool_idle_ttl() -> float:
     return max(value, 0.0)
 
 
-def arena_enabled() -> bool:
-    """Whether pooled verification ships work as ``(arena_version,
-    chunk_ids)`` against the shared-memory index plane (``REPRO_ARENA``,
-    default on).
-
-    With the arena on, the database's graphs, the candidate-algebra universe
-    mask and the A2F/A2I lookup tables are serialized once into a read-only
-    ``multiprocessing.shared_memory`` segment that every pool worker attaches
-    to at spawn; payloads shrink to id tuples.  ``REPRO_ARENA=0`` falls back
-    to pickling candidate graphs into every chunk payload (the reference
-    path the oracle matrix compares against).
-    """
-    return os.environ.get("REPRO_ARENA", "1") not in ("0", "false", "no")
-
-
 def canonical_cache_size() -> int:
     """Bound on the process-wide canonical-code LRU (``REPRO_CANONICAL_CACHE``)."""
     try:
@@ -98,12 +71,6 @@ def canonical_cache_size() -> int:
     except ValueError:
         value = 8192
     return max(value, 0)
-
-
-def bitset_candidates() -> bool:
-    """Whether candidate-set algebra runs on int bitmasks (``REPRO_BITSET=0``
-    falls back to the frozenset reference path, kept for A/B checks)."""
-    return os.environ.get("REPRO_BITSET", "1") not in ("0", "false", "no")
 
 
 def trace_enabled() -> bool:

@@ -5,14 +5,12 @@ so a candidate set is representable as a Python ``int`` bitmask with bit
 ``gid`` set.  Intersections and unions — the inner loop of Algorithm 3's Φ/Υ
 probes, Algorithm 4's per-level buckets and Algorithm 6's deletion deltas —
 become single ``&``/``|`` ops over machine words instead of O(n) hashed-set
-walks.
+walks.  It is the one candidate algebra: every candidate set the engine
+computes is computed here.
 
 The module is the conversion boundary: everything outside ``repro.core`` (and
 the A2F/A2I ``fsg_bits`` shims) keeps speaking ``frozenset``/``set`` of ids;
 callers convert once at the edges with :func:`bits_of`/:func:`ids_of`.
-``REPRO_BITSET=0`` (see :func:`repro.config.bitset_candidates`) switches the
-candidate pipeline back to the frozenset reference implementation, which the
-test suite uses for A/B equivalence checks.
 """
 
 from __future__ import annotations
@@ -45,16 +43,6 @@ def iter_ids(mask: Bits) -> Iterator[int]:
         mask ^= low
 
 
-def mask_to_bytes(mask: Bits) -> bytes:
-    """Serialize a bitmask to little-endian bytes (the arena wire format)."""
-    return mask.to_bytes(max(1, (mask.bit_length() + 7) // 8), "little")
-
-
-def mask_from_bytes(data: bytes) -> Bits:
-    """Inverse of :func:`mask_to_bytes`."""
-    return int.from_bytes(data, "little")
-
-
 def count(mask: Bits) -> int:
     """Population count — ``len()`` of the candidate set."""
     return mask.bit_count()
@@ -68,13 +56,11 @@ def full_mask(n: int) -> Bits:
 def intersect_all(masks: Iterable[Bits], universe: Bits = 0) -> Bits:
     """AND-fold, smallest-popcount first, with an early exit on empty.
 
-    Ordering by popcount keeps intermediate results small — the same
-    smallest-first heuristic the frozenset path uses.
+    Ordering by popcount keeps intermediate results small.
 
     ``universe`` is the neutral element of the fold: an intersection over
     *zero* constraint sets leaves every graph a candidate, so callers pass
-    the all-graphs mask (``full_mask(len(db))``), mirroring the ``db_ids``
-    fallback of the frozenset reference path.  An empty fold returning the
+    the all-graphs mask (``full_mask(len(db))``).  An empty fold returning the
     empty set would silently turn "no pruning information" into "provably
     no match" — the exact-candidate emptiness test is load-bearing
     (it triggers PRAGUE's option dialogue), so the distinction matters.

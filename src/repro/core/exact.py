@@ -12,22 +12,23 @@ Emptiness of the returned set is *sound*: an empty ``Rq`` proves the fragment
 has no exact match in the database (the trigger for PRAGUE's modify/similar
 option dialogue).
 
+The FSG-id lists cover the graphs the indexes were built (or incrementally
+maintained) over, ids ``0 .. indexes.db_size - 1``.  A graph appended with a
+bare ``db.add()`` has a larger id that no list mentions, so every candidate
+set also carries those *appended* ids: nothing proves they do not match.
+
 The Φ/Υ intersection runs on int bitmasks (:mod:`repro.core.candidates`) —
 graph ids are dense, so each AND is word-parallel — ordered smallest
-candidate list first with an early exit on empty.  ``REPRO_BITSET=0`` selects
-:func:`exact_sub_candidates_sets`, the frozenset reference implementation the
-equivalence tests compare against.
+candidate list first with an early exit on empty.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet
 
-from repro.config import bitset_candidates
 from repro.core.candidates import bits_of, ids_of, intersect_all
+from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 from repro.spig.spig import SpigVertex
 
 
@@ -36,27 +37,32 @@ def exact_sub_candidates(
     indexes: ActionAwareIndexes,
     db_ids: FrozenSet[int],
 ) -> FrozenSet[int]:
-    """``Rq`` for the fragment represented by ``vertex``."""
+    """``Rq`` for the fragment represented by ``vertex``.
+
+    The frozenset form of :func:`exact_sub_candidates_bits`.  A fragment
+    without index information returns ``db_ids`` itself, and while no graph
+    was appended an indexed fragment returns the index's cached FSG
+    frozenset, so neither case unpacks a bitmask.
+    """
     fl = vertex.fragment_list
-    if fl.dead:
-        # The fragment uses a label absent from the database: no match.
-        return frozenset()
-    if fl.freq_id is not None:
-        return indexes.a2f.fsg_ids(fl.freq_id)
-    if fl.dif_id is not None:
-        return indexes.a2i.fsg_ids(fl.dif_id)
-    if not fl.phi and not fl.upsilon:
+    if not (fl.dead or fl.is_indexed or fl.phi or fl.upsilon):
         # Fragment larger than the mining bound with no indexed subgraph
-        # information at all — no pruning is possible (cannot happen for
-        # queries within the paper's ≤ 10-edge envelope).
+        # information at all — no pruning is possible.
         return db_ids
-    if bitset_candidates():
-        count("candidates.path.bitset")
-        RECORDER.transition("candidates.path", "bitset")
-        return ids_of(_phi_upsilon_bits(vertex, indexes, bits_of(db_ids)))
-    count("candidates.path.frozenset")
-    RECORDER.transition("candidates.path", "frozenset")
-    return exact_sub_candidates_sets(vertex, indexes, db_ids)
+    if len(db_ids) <= indexes.db_size:  # dense ids: nothing was appended
+        if fl.dead:
+            return frozenset()
+        if fl.freq_id is not None:
+            return indexes.a2f.fsg_ids(fl.freq_id)
+        if fl.dif_id is not None:
+            return indexes.a2i.fsg_ids(fl.dif_id)
+    return ids_of(exact_sub_candidates_bits(vertex, indexes, bits_of(db_ids)))
+
+
+def appended_bits(indexes: ActionAwareIndexes, db_bits: int) -> int:
+    """The ids of ``db_bits`` the indexes never saw: those at or above
+    ``indexes.db_size``."""
+    return db_bits >> indexes.db_size << indexes.db_size
 
 
 def exact_sub_candidates_bits(
@@ -66,19 +72,22 @@ def exact_sub_candidates_bits(
 ) -> int:
     """``Rq`` as an int bitmask — the word-parallel form of Algorithm 3.
 
-    ``db_bits`` plays the role of ``db_ids`` for the no-information fallback
-    (``full_mask(len(db))``).
+    ``db_bits`` is the all-graphs mask (``full_mask(len(db))``): the answer
+    when no index information applies, and the source of the appended ids
+    every other answer includes.
     """
     fl = vertex.fragment_list
+    appended = appended_bits(indexes, db_bits)
     if fl.dead:
-        return 0
+        # The fragment uses a label absent from the indexed graphs.
+        return appended
     if fl.freq_id is not None:
-        return indexes.a2f.fsg_bits(fl.freq_id)
+        return indexes.a2f.fsg_bits(fl.freq_id) | appended
     if fl.dif_id is not None:
-        return indexes.a2i.fsg_bits(fl.dif_id)
+        return indexes.a2i.fsg_bits(fl.dif_id) | appended
     if not fl.phi and not fl.upsilon:
         return db_bits
-    return _phi_upsilon_bits(vertex, indexes, db_bits)
+    return _phi_upsilon_bits(vertex, indexes, db_bits) | appended
 
 
 def _phi_upsilon_bits(
@@ -90,36 +99,13 @@ def _phi_upsilon_bits(
     return intersect_all(masks, db_bits)
 
 
-def exact_sub_candidates_sets(
-    vertex: SpigVertex,
-    indexes: ActionAwareIndexes,
-    db_ids: FrozenSet[int],
-) -> FrozenSet[int]:
-    """The frozenset reference path (pre-bitset Algorithm 3).
+def is_verification_free(
+    vertex: SpigVertex, indexes: ActionAwareIndexes, db: GraphDatabase
+) -> bool:
+    """Whether ``vertex``'s ``Rq`` is already the exact answer.
 
-    Kept for A/B equivalence checks and ``REPRO_BITSET=0``; intersects
-    smallest list first without copying the initial frozenset.
+    True when the fragment is itself indexed (Algorithm 1, line 18) and the
+    indexes cover the whole database; an appended graph in ``Rq`` still needs
+    its VF2 test.
     """
-    fl = vertex.fragment_list
-    if fl.dead:
-        return frozenset()
-    if fl.freq_id is not None:
-        return indexes.a2f.fsg_ids(fl.freq_id)
-    if fl.dif_id is not None:
-        return indexes.a2i.fsg_ids(fl.dif_id)
-    if not fl.phi and not fl.upsilon:
-        return db_ids
-    id_lists: List[FrozenSet[int]] = [
-        indexes.a2f.fsg_ids(a2f_id) for a2f_id in fl.phi
-    ]
-    id_lists += [indexes.a2i.fsg_ids(a2i_id) for a2i_id in fl.upsilon]
-    id_lists.sort(key=len)
-    # Neutral element of the AND-fold over constraints: the full universe
-    # (zero constraints prune nothing) — kept in lock-step with
-    # ``intersect_all``'s ``universe`` argument on the bitset path.
-    rq: Optional[FrozenSet[int]] = None
-    for ids in id_lists:
-        rq = ids if rq is None else rq & ids  # frozenset & -> frozenset
-        if not rq:
-            return frozenset()
-    return db_ids if rq is None else rq
+    return vertex.fragment_list.is_indexed and indexes.db_size == len(db)

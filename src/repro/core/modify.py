@@ -24,14 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Set
 
-from repro.config import bitset_candidates
 from repro.core.candidates import bits_of, count, ids_of
-from repro.core.exact import exact_sub_candidates, exact_sub_candidates_bits
+from repro.core.exact import exact_sub_candidates_bits
 from repro.exceptions import QueryError
 from repro.index.builder import ActionAwareIndexes
 from repro.obs.histogram import observe
-from repro.obs.metrics import count as metric_count
-from repro.obs.recorder import RECORDER
 from repro.obs.tracer import span
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
@@ -80,48 +77,29 @@ def _suggest_deletion(
 ) -> Optional[DeletionSuggestion]:
     ids = query.edge_id_set()
     with span("modify.suggest", edges=len(ids)) as sp:
-        if bitset_candidates():
-            metric_count("candidates.path.bitset")
-            RECORDER.transition("candidates.path", "bitset")
-            # Compare modification deltas by popcount; materialise ids once,
-            # for the winner only.
-            db_bits = bits_of(db_ids)
-            best_eid: Optional[int] = None
-            best_mask = 0
-            best_count = -1
-            for eid in deletable_edges(query):
-                rest = ids - {eid}
-                if not rest:
-                    continue
-                vertex = manager.vertex_for(rest)
-                if vertex is None:
-                    continue  # cannot happen with per-step SPIG maintenance
-                mask = exact_sub_candidates_bits(vertex, indexes, db_bits)
-                mask_count = count(mask)
-                if best_eid is None or mask_count > best_count:
-                    best_eid, best_mask, best_count = eid, mask, mask_count
-            if best_eid is None:
-                return None
-            sp.set(suggested=best_eid, restored=best_count)
-            return DeletionSuggestion(
-                edge_id=best_eid, candidates=ids_of(best_mask)
-            )
-        metric_count("candidates.path.frozenset")
-        RECORDER.transition("candidates.path", "frozenset")
-        best: Optional[DeletionSuggestion] = None
+        # Compare modification deltas by popcount; materialise ids once, for
+        # the winner only.
+        db_bits = bits_of(db_ids)
+        best_eid: Optional[int] = None
+        best_mask = 0
+        best_count = -1
         for eid in deletable_edges(query):
             rest = ids - {eid}
             if not rest:
                 continue
             vertex = manager.vertex_for(rest)
             if vertex is None:
-                continue  # cannot happen when SPIGs were maintained each step
-            rq = exact_sub_candidates(vertex, indexes, db_ids)
-            if best is None or len(rq) > len(best.candidates):
-                best = DeletionSuggestion(edge_id=eid, candidates=rq)
-        if best is not None:
-            sp.set(suggested=best.edge_id, restored=len(best.candidates))
-        return best
+                continue  # cannot happen with per-step SPIG maintenance
+            mask = exact_sub_candidates_bits(vertex, indexes, db_bits)
+            mask_count = count(mask)
+            if best_eid is None or mask_count > best_count:
+                best_eid, best_mask, best_count = eid, mask, mask_count
+        if best_eid is None:
+            return None
+        sp.set(suggested=best_eid, restored=best_count)
+        return DeletionSuggestion(
+            edge_id=best_eid, candidates=ids_of(best_mask)
+        )
 
 
 def apply_deletion(

@@ -2,16 +2,17 @@
 
 ROADMAP item 1's critical refactor: everything a formulation session *reads*
 but never *writes* — the graph database, the mined A2F/A2I indexes, and the
-published shared-memory arena — bundled into one :class:`SharedPlane` that
-is built once per process and shared read-only by every concurrent session.
-Per-session state (the visual query, the SPIG set, candidates, the undo
-stack) stays inside each :class:`~repro.core.prague.PragueEngine`.
+published shared-memory arena of the database's graphs — bundled into one
+:class:`SharedPlane` that is built once per process and shared read-only by
+every concurrent session.  Per-session state (the visual query, the SPIG
+set, candidates, the undo stack) stays inside each
+:class:`~repro.core.prague.PragueEngine`.
 
-Constructing an engine from a plane is O(1): the plane registered the index
-plane with the arena registry and snapshotted the id universe when it was
-built, so spinning up session number 500 costs a few attribute writes, not a
-re-walk of the database.  ``db.add()`` mid-flight stays correct — both the
-plane and the engine version-guard their snapshots on ``len(db)``.
+Constructing an engine from a plane is O(1): the plane snapshotted the id
+universe when it was built, so spinning up session number 500 costs a few
+attribute writes, not a re-walk of the database.  ``db.add()`` mid-flight
+stays correct — both the plane and the engine version-guard their snapshots
+on ``len(db)``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 from typing import FrozenSet, Optional
 
 from repro.config import DEFAULT_SUBGRAPH_DISTANCE
-from repro.core.pool import arena_for, register_index_plane
+from repro.core.pool import arena_for
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
 
@@ -33,7 +34,6 @@ class SharedPlane:
         self.indexes = indexes
         self._lock = threading.Lock()
         self._ids: FrozenSet[int] = frozenset(db.ids())
-        register_index_plane(db, indexes)
 
     @property
     def db_ids(self) -> FrozenSet[int]:
@@ -50,8 +50,8 @@ class SharedPlane:
         """Pre-build and publish the shared-memory arena (idempotent).
 
         A server calls this once at startup so the first Run action of the
-        first session doesn't pay the arena build; returns ``None`` when the
-        arena is disabled or shared memory is unavailable.
+        first session doesn't pay the arena build; returns ``None`` when
+        shared memory is unavailable.
         """
         return arena_for(self.db)
 

@@ -7,11 +7,9 @@ squarely inside the SRT budget the paper optimizes, so this module keeps the
 machinery warm instead:
 
 * :func:`arena_for` maintains one shared-memory
-  :class:`~repro.index.arena.IndexArena` per live database, keyed by the
-  database object and invalidated whenever ``len(db)`` changes (``db.add()``
-  only ever appends).  Engines register their indexes via
-  :func:`register_index_plane` so the published arena also carries the
-  A2F/A2I lookup tables — the shared, immutable half of the engine state.
+  :class:`~repro.index.arena.IndexArena` — the database's graphs — per live
+  database, keyed by the database object and invalidated whenever
+  ``len(db)`` changes (``db.add()`` only ever appends).
 * :class:`WarmPool` is the long-lived pool: lazily spawned on the first
   parallel batch, reused while the worker count and arena version stay put,
   expired after :func:`repro.config.pool_idle_ttl` idle seconds, torn down
@@ -23,9 +21,9 @@ machinery warm instead:
   from the arena they attached at spawn (decoded graphs are memoised per
   worker, so a graph crosses the pickle boundary zero times).
 
-Everything here is wall-clock machinery only: any failure degrades to the
-serial in-process path with identical answers
-(:mod:`repro.core.verification`).
+Everything here is wall-clock machinery only: without shared memory, and
+after any pool failure, a batch runs on the serial in-process path with
+identical answers (:mod:`repro.core.verification`).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import time
 import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import arena_enabled, pool_idle_ttl, pool_warm
+from repro.config import pool_idle_ttl
 from repro.obs.metrics import count, gauge
 from repro.obs.profiler import profile_block
 from repro.obs.recorder import RECORDER
@@ -61,35 +59,16 @@ def _pool_context():
 _ARENAS: Dict[int, Tuple[Any, int, Any]] = {}
 #: arena version -> arena, for parent-side payload resolution (fallbacks).
 _BY_VERSION: Dict[str, Any] = {}
-#: id(db) -> ActionAwareIndexes to embed in that database's arena.
-_INDEX_PLANES: Dict[int, Any] = {}
 #: Serializes registry mutation: the service layer runs sessions on
 #: ``ThreadingHTTPServer`` threads, so two first-Run actions can race into
 #: ``arena_for`` (and the weakref death callback can fire on any thread).
 _REGISTRY_LOCK = threading.RLock()
 
 
-def register_index_plane(db, indexes) -> None:
-    """Declare ``indexes`` as the index plane for ``db``'s arena.
-
-    Cheap (a dict write); the arena itself is built lazily on the first
-    pooled batch.  Engines call this at construction so the published arena
-    carries the A2F/A2I lookup tables alongside the graphs.
-    """
-    _INDEX_PLANES[id(db)] = indexes
-
-
-def _drop_arena(key: int, drop_plane: bool = False) -> None:
-    """Dispose ``key``'s arena; keep its index plane unless the db died.
-
-    Invalidation (``db.add()`` grew the database) must preserve the plane
-    registration so the rebuilt arena still carries the A2F/A2I tables —
-    only the death of the database itself retires the plane.
-    """
+def _drop_arena(key: int) -> None:
+    """Dispose ``key``'s arena (the database grew or died)."""
     with _REGISTRY_LOCK:
         entry = _ARENAS.pop(key, None)
-        if drop_plane:
-            _INDEX_PLANES.pop(key, None)
         if entry is not None:
             _, _, arena = entry
             _BY_VERSION.pop(arena.version, None)
@@ -99,13 +78,11 @@ def _drop_arena(key: int, drop_plane: bool = False) -> None:
 def arena_for(db) -> Optional[Any]:
     """The published shared-memory arena for ``db`` (built on first use).
 
-    Returns ``None`` when the arena is disabled (``REPRO_ARENA=0``) or
-    shared memory is unavailable — callers then pickle candidates by value.
-    A stale entry (the database grew) is disposed and rebuilt, which also
-    forces the warm pool to respawn against the new version.
+    Returns ``None`` when shared memory is unavailable — callers then verify
+    serially in-process.  A stale entry (the database grew) is disposed and
+    rebuilt, which also forces the warm pool to respawn against the new
+    version.
     """
-    if not arena_enabled():
-        return None
     key = id(db)
     with _REGISTRY_LOCK:
         entry = _ARENAS.get(key)
@@ -120,13 +97,13 @@ def arena_for(db) -> Optional[Any]:
 
         start = time.perf_counter()
         with profile_block("arena.build"):
-            arena = IndexArena.build(db, indexes=_INDEX_PLANES.get(key))
+            arena = IndexArena.build(db)
         if arena.publish() is None:  # no shared memory on this platform
             arena.dispose()
             return None
-        _ARENAS[key] = (weakref.ref(db, lambda _r, k=key: _drop_arena(
-                            k, drop_plane=True)),
-                        len(db), arena)
+        _ARENAS[key] = (
+            weakref.ref(db, lambda _r, k=key: _drop_arena(k)), len(db), arena
+        )
         _BY_VERSION[arena.version] = arena
         count("arena.builds")
         gauge("arena.bytes", arena.nbytes)
@@ -155,13 +132,12 @@ def arena_segment_bytes() -> int:
 _WORKER_ARENA = None
 
 
-def _attach_worker_arena(name: Optional[str], version: Optional[str]) -> None:
+def _attach_worker_arena(name: str, version: str) -> None:
     """Pool initializer: attach the published arena once per worker.
 
     Must never raise — a failing ``Pool`` initializer makes the pool respawn
     workers in a loop.  On any failure the worker simply has no arena and
-    the first arena-referencing chunk raises, which the parent turns into a
-    serial fallback.
+    the first chunk raises, which the parent turns into a serial fallback.
 
     Also restores the default signal dispositions a forked worker would
     otherwise inherit from the parent: the service's SIGTERM handler only
@@ -174,9 +150,6 @@ def _attach_worker_arena(name: Optional[str], version: Optional[str]) -> None:
     global _WORKER_ARENA
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if name is None:
-        _WORKER_ARENA = None
-        return
     try:
         from repro.index.arena import IndexArena
 
@@ -188,14 +161,11 @@ def _attach_worker_arena(name: Optional[str], version: Optional[str]) -> None:
 def resolve_items(items) -> Sequence[Tuple[int, Any]]:
     """Materialize a chunk payload's ``(gid, graph)`` pairs.
 
-    Inline payloads (a list of pairs) pass through.  Arena references —
-    ``(ARENA_REF, version, ids)`` tuples — resolve against the worker's
-    attached arena, or against the parent-side registry when the chunk runs
-    in-process (the serial fallback path).
+    ``items`` is an arena reference, ``(ARENA_REF, version, ids)``.  It
+    resolves against the worker's attached arena, or against the
+    parent-side registry when the chunk runs in-process (the serial
+    fallback path).
     """
-    if not (isinstance(items, tuple) and len(items) == 3
-            and items[0] == ARENA_REF):
-        return items
     _, version, ids = items
     attached = _WORKER_ARENA
     if attached is not None and attached.version == version:
@@ -212,7 +182,7 @@ def resolve_items(items) -> Sequence[Tuple[int, Any]]:
         )
     raise RuntimeError(
         f"no arena attached for version {version!r} "
-        "(worker initializer failed or shared memory unavailable)"
+        "(worker initializer failed)"
     )
 
 
@@ -237,7 +207,7 @@ class WarmPool:
 
     def __init__(self) -> None:
         self._pool = None
-        self._key: Optional[Tuple[int, Optional[str]]] = None
+        self._key: Optional[Tuple[int, str]] = None
         self._last_used = 0.0
         self._respawn_pending = False
         # Lifecycle lock only: concurrent ``Pool.map`` calls are safe, but
@@ -246,27 +216,20 @@ class WarmPool:
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, workers: int, arena) -> None:
-        name = version = None
-        if arena is not None:
-            name = arena.publish()
-            version = arena.version
         ctx = _pool_context()
         self._pool = ctx.Pool(
             workers,
             initializer=_attach_worker_arena,
-            initargs=(name, version),
+            initargs=(arena.publish(), arena.version),
         )
-        self._key = (workers, version)
+        self._key = (workers, arena.version)
         self._last_used = time.monotonic()
         if self._respawn_pending:
             self._respawn_pending = False
             count("verify.pool.respawns")
         count("verify.pool.spawns")
         gauge("pool.workers", workers)
-        RECORDER.record(
-            "pool.spawn", workers=workers,
-            arena=version if version is not None else "off",
-        )
+        RECORDER.record("pool.spawn", workers=workers, arena=arena.version)
 
     def _discard(self, reason: str) -> None:
         with self._lock:
@@ -287,10 +250,9 @@ class WarmPool:
     # -- dispatch ------------------------------------------------------
     def _ensure(self, workers: int, arena):
         with self._lock:
-            version = arena.version if arena is not None else None
             if self._pool is not None:
                 ttl = pool_idle_ttl()
-                if self._key != (workers, version):
+                if self._key != (workers, arena.version):
                     self._discard("reconfigured")
                     self._respawn_pending = True
                 elif ttl and time.monotonic() - self._last_used > ttl:
@@ -304,27 +266,14 @@ class WarmPool:
                 RECORDER.transition("pool.dispatch", "reuse")
             return self._pool
 
-    def map(self, func, payloads: List, workers: int, arena=None) -> List:
-        """Run ``func`` over ``payloads`` on the warm (or a cold) pool.
+    def map(self, func, payloads: List, workers: int, arena) -> List:
+        """Run ``func`` over ``payloads`` on the warm pool.
 
-        Cold mode (``REPRO_POOL_WARM=0``) reproduces the historical
-        pool-per-call behaviour.  Any failure tears the warm pool down so
-        the next dispatch respawns cleanly, then propagates to the caller's
-        serial fallback.
+        The workers are attached to ``arena``, a published
+        :class:`~repro.index.arena.IndexArena`.  Any failure tears the pool
+        down so the next dispatch respawns cleanly, then propagates to the
+        caller's serial fallback.
         """
-        if not pool_warm():
-            count("verify.pool.cold_spawns")
-            RECORDER.transition("pool.dispatch", "cold")
-            name = version = None
-            if arena is not None:
-                name = arena.publish()
-                version = arena.version
-            with _pool_context().Pool(
-                workers,
-                initializer=_attach_worker_arena,
-                initargs=(name, version),
-            ) as pool:
-                return pool.map(func, payloads)
         pool = self._ensure(workers, arena)
         try:
             out = pool.map(func, payloads)

@@ -62,9 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.config import DEFAULT_SUBGRAPH_DISTANCE
 from repro.core.actions import Action, QueryStatus
-from repro.core.exact import exact_sub_candidates
+from repro.core.exact import exact_sub_candidates, is_verification_free
 from repro.core.modify import DeletionSuggestion, apply_deletion, suggest_deletion
-from repro.core.pool import register_index_plane
 from repro.core.results import QueryResults, SimilarCandidates
 from repro.core.similar import similar_results_gen, similar_sub_candidates
 from repro.core.verification import exact_verification
@@ -127,15 +126,10 @@ class PragueEngine:
         self.auto_similarity = auto_similarity
         self.plane = plane
         if plane is None:
-            # Declare the shared half of the session state: if a Run action
-            # needs the verification pool, the published arena for this db
-            # will carry these A2F/A2I tables (built lazily, nothing happens
-            # now).
-            register_index_plane(db, indexes)
             self._db_ids: FrozenSet[int] = frozenset(db.ids())
         else:
-            # The plane registered the indexes and snapshotted the universe
-            # once for every session — construction stays O(1).
+            # The plane snapshotted the universe once for every session —
+            # construction stays O(1).
             self._db_ids = plane.db_ids
         self._db_ids_size = len(self._db_ids)
         self._candidates_db_size = len(db)
@@ -459,7 +453,9 @@ class PragueEngine:
             report = RunReport()
             if not self.sim_flag:
                 target = self.manager.target_vertex(self.query)
-                verification_free = target.fragment_list.is_indexed
+                verification_free = is_verification_free(
+                    target, self.indexes, self.db
+                )
                 exact_ids = exact_verification(
                     self.query.graph(), self.rq, self.db, verification_free
                 )

@@ -6,6 +6,8 @@ distance 0 when the user opted into similarity while exact matches still
 exist).  At each level, candidates of indexed vertices (frequent fragments or
 DIFs — exact FSG lists) go to ``Rfree``; candidates of NIF vertices go to
 ``Rver``; ids present in both stay only in ``Rfree`` (Algorithm 4, line 7).
+Graphs appended after the index build (:mod:`repro.core.exact`) always go to
+``Rver``: no FSG list proves they match.
 
 ``SimilarResultsGen`` walks the levels from the most similar down, so every
 answer is reported at its *minimum* distance, and returns the ranked list
@@ -15,18 +17,15 @@ answer is reported at its *minimum* distance, and returns the ranked list
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, List, Set
+from typing import FrozenSet, Iterator, List, Set
 
-from repro.config import bitset_candidates
 from repro.core.candidates import bits_of, iter_ids
-from repro.core.exact import exact_sub_candidates, exact_sub_candidates_bits
+from repro.core.exact import appended_bits, exact_sub_candidates_bits
 from repro.core.results import SimilarCandidates, SimilarityMatch
 from repro.core.verification import level_fragments_to_verify, sim_verify_scan
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
 from repro.obs.histogram import observe
-from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 from repro.obs.tracer import span
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
@@ -47,51 +46,29 @@ def similar_sub_candidates(
     top = q_size if include_exact_level else q_size - 1
     bottom = max(q_size - sigma, 1)
     out = SimilarCandidates()
-    use_bits = bitset_candidates()
-    db_bits = bits_of(db_ids) if use_bits else 0
+    db_bits = bits_of(db_ids)
+    # Graphs appended after the index build are in no FSG list, so no
+    # indexed fragment proves they match: they are never verification-free.
+    appended = appended_bits(indexes, db_bits)
     sim_start = time.perf_counter()
-    RECORDER.transition(
-        "candidates.path", "bitset" if use_bits else "frozenset"
-    )
     with span("candidates.similar", sigma=sigma) as outer:
-        count(
-            "candidates.path.bitset" if use_bits
-            else "candidates.path.frozenset"
-        )
         for level in range(top, bottom - 1, -1):
             with span("candidates.level", level=level) as sp:
-                if use_bits:
-                    # Word-parallel bucket accumulation: one OR per vertex,
-                    # one AND-NOT for Algorithm 4's line 7, ids materialised
-                    # once.
-                    free_bits = 0
-                    ver_bits = 0
-                    for vertex in manager.vertices_at_level(level):
-                        mask = exact_sub_candidates_bits(
-                            vertex, indexes, db_bits
-                        )
-                        if vertex.fragment_list.is_indexed:
-                            free_bits |= mask
-                        else:
-                            ver_bits |= mask
-                    ver_bits &= ~free_bits
-                    out.free[level] = set(iter_ids(free_bits))
-                    out.ver[level] = set(iter_ids(ver_bits))
-                else:
-                    free: Set[int] = set()
-                    ver: Set[int] = set()
-                    for vertex in manager.vertices_at_level(level):
-                        candidates = exact_sub_candidates(
-                            vertex, indexes, db_ids
-                        )
-                        if vertex.fragment_list.is_indexed:
-                            free |= candidates
-                        else:
-                            ver |= candidates
-                    # Already verification-free at this level (Alg 4, line 7).
-                    ver -= free
-                    out.free[level] = free
-                    out.ver[level] = ver
+                # Word-parallel bucket accumulation: one OR per vertex, one
+                # AND-NOT for Algorithm 4's line 7, ids materialised once.
+                free_bits = 0
+                ver_bits = 0
+                for vertex in manager.vertices_at_level(level):
+                    mask = exact_sub_candidates_bits(vertex, indexes, db_bits)
+                    if vertex.fragment_list.is_indexed:
+                        free_bits |= mask
+                    else:
+                        ver_bits |= mask
+                ver_bits |= free_bits & appended
+                free_bits &= ~appended
+                ver_bits &= ~free_bits
+                out.free[level] = set(iter_ids(free_bits))
+                out.ver[level] = set(iter_ids(ver_bits))
                 sp.set(
                     free=len(out.free[level]), ver=len(out.ver[level])
                 )
@@ -123,9 +100,11 @@ def iter_similar_results(
     ``verify_all_fragments`` makes SimVerify test *every* level fragment
     instead of only the NIFs.  The NIF-only restriction is sound exactly
     because indexed fragments' candidates land in ``Rfree``; ablations that
-    disable the Rfree/Rver split must verify against all fragments.
+    disable the Rfree/Rver split must verify against all fragments, and so
+    does every graph appended after the index build.
     """
     q_size = query.num_edges
+    db_size = manager.indexes.db_size
     confirmed: Set[int] = set()
     for level in sorted(candidates.levels(), reverse=True):
         distance = q_size - level
@@ -139,22 +118,30 @@ def iter_similar_results(
                     distance=distance, graph_id=gid, verification_free=True
                 ))
         to_verify = candidates.ver_at(level) - confirmed
-        if to_verify:
-            if verify_all_fragments:
-                vertices = list(manager.vertices_at_level(level))
-            else:
-                vertices = level_fragments_to_verify(manager, level)
-            # Batched SimVerify: level fragments are compiled once for the
-            # whole candidate list (and chunked across the verification pool
-            # when it is large) instead of VF2-from-scratch per candidate.
-            for gid in sorted(sim_verify_scan(
-                [v.fragment for v in vertices], to_verify, db,
-            )):
-                confirmed.add(gid)
-                batch.append(SimilarityMatch(
-                    distance=distance, graph_id=gid,
-                    verification_free=False,
-                ))
+        # Graphs appended after the index build are in no Rfree bucket, so
+        # the NIF-only shortcut does not cover them: they are tested against
+        # every level fragment.
+        test_all = to_verify if verify_all_fragments else {
+            gid for gid in to_verify if gid >= db_size
+        }
+        hits: Set[int] = set()
+        for ids, vertices in (
+            (to_verify - test_all, level_fragments_to_verify(manager, level)),
+            (test_all, manager.vertices_at_level(level)),
+        ):
+            if ids:
+                # Batched SimVerify: level fragments are compiled once for
+                # the whole candidate list (and chunked across the
+                # verification pool when it is large) instead of
+                # VF2-from-scratch per candidate.
+                hits |= sim_verify_scan(
+                    [v.fragment for v in vertices], ids, db,
+                )
+        for gid in sorted(hits):
+            confirmed.add(gid)
+            batch.append(SimilarityMatch(
+                distance=distance, graph_id=gid, verification_free=False,
+            ))
         yield from sorted(batch)
 
 

@@ -24,9 +24,10 @@ payloads carry ``(arena_version, chunk_ids)`` instead of pickled graphs.
 The worker count comes from :func:`repro.config.verification_workers`
 (``REPRO_WORKERS``; ``1`` = the serial path, deterministic and pool-free —
 what CI pins), and batches below
-:func:`repro.config.pool_min_candidates` candidates skip the pool entirely.
-Worker count, warm-vs-cold pool and arena-vs-inline payloads never affect
-*results*, only wall-clock: every path returns the same id sets.
+:func:`repro.config.pool_min_candidates` candidates skip the pool entirely,
+as does every batch when shared memory is unavailable.  The worker count
+never affects *results*, only wall-clock: every path returns the same id
+sets.
 
 Telemetry is cross-process: every chunk runs under worker-local observation
 capture (:mod:`repro.obs.snapshot`) and returns its counter/histogram/
@@ -107,8 +108,7 @@ def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
 def _verify_chunk(payload) -> List[int]:
     """Worker: ids of the chunk's graphs that contain the pattern.
 
-    ``items`` is either inline ``(gid, graph)`` pairs or an
-    ``(arena_version, chunk_ids)`` reference that
+    ``items`` is an ``(ARENA_REF, arena_version, chunk_ids)`` reference that
     :func:`repro.core.pool.resolve_items` materializes from the worker's
     attached shared-memory arena.
     """
@@ -176,12 +176,29 @@ def reset_postmortem_limiter() -> None:
     _FALLBACK_DUMPED.clear()
 
 
+def _pool_arena(db: GraphDatabase, candidates: int, workers: int):
+    """The published arena when a batch should run on the pool, else ``None``.
+
+    ``None`` means serial: one worker, a batch below the
+    :func:`repro.config.pool_min_candidates` floor, or no shared memory.
+    """
+    if workers == 1 or candidates < pool_min_candidates():
+        return None
+    return arena_for(db)
+
+
+def _arena_ref(arena, chunk: Sequence[int]):
+    """The payload form of a chunk of candidate ids (see
+    :func:`repro.core.pool.resolve_items`)."""
+    return (ARENA_REF, arena.version, tuple(chunk))
+
+
 def _run_batch(
     worker,
     make_payload,
     ids: List[int],
     workers: int,
-    arena=None,
+    arena,
 ) -> List[int]:
     """Chunk ``ids`` across the warm pool, falling back to in-process runs.
 
@@ -190,7 +207,8 @@ def _run_batch(
     path, not abort it: the answer is computable without a pool, so compute
     it.  The fallback executes the same worker on the same payloads, hence
     returns the identical id list — arena references resolve in-process
-    against the parent-side registry.
+    against the parent-side registry.  ``arena`` is the published arena the
+    pool workers attach to.
 
     On the pool path every chunk's observation delta is merged back here,
     so nothing a worker recorded is lost (see :mod:`repro.obs.snapshot`);
@@ -206,8 +224,7 @@ def _run_batch(
     count("verify.pool.chunks", len(payloads))
     RECORDER.record(
         "pool.run", chunks=len(payloads), workers=workers,
-        candidates=len(ids),
-        arena=arena.version if arena is not None else "off",
+        candidates=len(ids), arena=arena.version,
     )
     ctx = worker_context()
     try:
@@ -284,23 +301,16 @@ def verify_batch(
     start = time.perf_counter()
     with span("verify.scan", candidates=len(ids), workers=workers):
         label_freq = db.label_frequencies()
-        if workers == 1 or len(ids) < pool_min_candidates():
+        arena = _pool_arena(db, len(ids), workers)
+        if arena is None:
             count("verify.serial")
             compiled = compile_pattern(pattern, label_freq)
             out = _test_pattern(compiled, [(gid, db[gid]) for gid in ids])
         else:
-            arena = arena_for(db)
-            if arena is not None:
-                make_payload = lambda chunk: (
-                    pattern, (ARENA_REF, arena.version, tuple(chunk)),
-                    label_freq,
-                )
-            else:
-                make_payload = lambda chunk: (
-                    pattern, [(gid, db[gid]) for gid in chunk], label_freq
-                )
             out = _run_batch(
-                _verify_chunk, make_payload, ids, workers, arena=arena
+                _verify_chunk,
+                lambda chunk: (pattern, _arena_ref(arena, chunk), label_freq),
+                ids, workers, arena,
             )
     observe("verify.scan", time.perf_counter() - start)
     return out
@@ -330,32 +340,22 @@ def sim_verify_scan(
         candidates=len(ids), fragments=len(fragments), workers=workers,
     ):
         label_freq = db.label_frequencies()
-        if workers == 1 or len(ids) < pool_min_candidates():
+        arena = _pool_arena(db, len(ids), workers)
+        if arena is None:
             count("verify.serial")
             compiled = [CompiledPattern(f, label_freq) for f in fragments]
             out = set(
                 _test_fragments(compiled, [(gid, db[gid]) for gid in ids])
             )
         else:
-            arena = arena_for(db)
-            if arena is not None:
-                make_payload = lambda chunk: (
-                    list(fragments),
-                    (ARENA_REF, arena.version, tuple(chunk)),
-                    label_freq,
-                )
-            else:
-                make_payload = lambda chunk: (
-                    list(fragments),
-                    [(gid, db[gid]) for gid in chunk],
-                    label_freq,
-                )
-            out = set(
-                _run_batch(
-                    _sim_verify_chunk, make_payload, ids, workers,
-                    arena=arena,
-                )
-            )
+            fragments = list(fragments)
+            out = set(_run_batch(
+                _sim_verify_chunk,
+                lambda chunk: (
+                    fragments, _arena_ref(arena, chunk), label_freq
+                ),
+                ids, workers, arena,
+            ))
     observe("verify.sim", time.perf_counter() - start)
     return out
 

@@ -8,11 +8,9 @@ from repro.index.persistence import (
     a2f_size_bytes,
     a2i_size_bytes,
     load_indexes,
-    load_indexes_arena,
     pickled_size_bytes,
     prague_index_size_bytes,
     save_indexes,
-    save_indexes_arena,
 )
 
 __all__ = [
@@ -30,8 +28,6 @@ __all__ = [
     "pickled_size_bytes",
     "save_indexes",
     "load_indexes",
-    "save_indexes_arena",
-    "load_indexes_arena",
     "IncrementalIndexMaintainer",
     "AppendReport",
 ]

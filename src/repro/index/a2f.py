@@ -217,27 +217,6 @@ class A2FIndex:
     def support(self, a2f_id: int) -> int:
         return len(self.fsg_ids(a2f_id))
 
-    def arena_payload(self) -> Dict[str, object]:
-        """The lookup-table dict the shared-memory arena serializes.
-
-        Codes, sizes and fully materialised FSG bitmask blobs in ``a2fId``
-        order — enough for an attached consumer to answer ``lookup`` and
-        ``fsg_bits`` probes without replaying the delta-list reconstruction
-        walk (see :class:`repro.index.arena.ArenaIndexTable`).
-        """
-        # Local import: repro.core pulls in the index package at init.
-        from repro.core.candidates import mask_to_bytes
-
-        return {
-            "beta": self.beta,
-            "codes": [v.code for v in self._vertices],
-            "sizes": [v.size for v in self._vertices],
-            "bits": [
-                mask_to_bytes(self.fsg_bits(i))
-                for i in range(len(self._vertices))
-            ],
-        }
-
     # ------------------------------------------------------------------
     # components / accounting
     # ------------------------------------------------------------------

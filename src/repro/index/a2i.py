@@ -85,20 +85,3 @@ class A2IIndex:
 
     def entries(self) -> Tuple[A2IEntry, ...]:
         return tuple(self._entries)
-
-    def arena_payload(self) -> Dict[str, object]:
-        """The lookup-table dict the shared-memory arena serializes.
-
-        Mirrors :meth:`repro.index.a2f.A2FIndex.arena_payload` (minus β —
-        the DIF array has no MF/DF split).
-        """
-        # Local import: repro.core pulls in the index package at init.
-        from repro.core.candidates import mask_to_bytes
-
-        return {
-            "codes": [e.code for e in self._entries],
-            "sizes": [e.size for e in self._entries],
-            "bits": [
-                mask_to_bytes(self.fsg_bits(e.a2i_id)) for e in self._entries
-            ],
-        }

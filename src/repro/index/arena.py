@@ -1,12 +1,11 @@
-"""The shared-memory index plane — a compact read-only arena.
+"""The shared-memory graph store of the verification pool — a compact
+read-only arena.
 
 PRAGUE's residual work runs in a verification pool, and everything a worker
 needs used to travel *by value*: candidate graphs re-pickled into every chunk
-payload, per-process copies of the indexes.  The arena inverts that: the
-database's graphs, the candidate algebra's int-bitmask universe and the
-A2F/A2I lookup tables are serialized **once** into a versioned, read-only
-byte buffer that lives in ``multiprocessing.shared_memory`` (or an
-mmap-backed file for on-disk persistence).  Workers attach at spawn and chunk
+payload.  The arena inverts that: the database's graphs are serialized
+**once** into a versioned, read-only byte buffer that lives in
+``multiprocessing.shared_memory``.  Workers attach at spawn and chunk
 payloads shrink to ``(arena_version, chunk_ids)`` tuples.
 
 Layout (all integers little-endian)::
@@ -22,13 +21,8 @@ consumer — and the section table.  Sections:
 ========== ==========================================================
 section     contents
 ========== ==========================================================
-``meta``    pickled dict: db size, mining params (persistence only)
-``universe``the all-graphs candidate bitmask, little-endian bytes
 ``labels``  pickled node/edge label table (index 0 ≙ unlabeled edge)
 ``graphs``  offset table + one compact binary record per data graph
-``a2f``     pickled A2F lookup table: β, codes, sizes, FSG bitmask blobs
-``a2i``     pickled A2I lookup table: codes, sizes, FSG bitmask blobs
-``frequent``/``difs``  full fragment catalogs (persistence format only)
 ========== ==========================================================
 
 Graph records use dense int arrays (label indices + edge index triples);
@@ -43,15 +37,8 @@ import hashlib
 import io
 import pickle
 import struct
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.candidates import (
-    bits_of,
-    full_mask,
-    ids_of,
-    mask_from_bytes,
-    mask_to_bytes,
-)
 from repro.exceptions import IndexError_
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import Graph
@@ -132,47 +119,19 @@ def _decode_graph(buf: memoryview, labels: Sequence[Optional[str]]) -> Graph:
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def encode_arena(
-    db: GraphDatabase,
-    indexes=None,
-    include_catalogs: bool = False,
-) -> bytes:
-    """Serialize the index plane for ``db`` into one arena byte string.
-
-    ``indexes`` (an :class:`~repro.index.builder.ActionAwareIndexes`) adds
-    the A2F/A2I lookup-table sections; ``include_catalogs`` additionally
-    embeds the raw fragment catalogs and mining parameters — the on-disk
-    persistence format (:func:`repro.index.persistence.save_indexes_arena`),
-    from which the full indexes can be rebuilt.
-    """
+def encode_arena(db: GraphDatabase) -> bytes:
+    """Serialize ``db``'s graphs into one arena byte string."""
     label_of: Dict[Optional[str], int] = {None: 0}
     for g in db:
         for node in g.nodes():
             label_of.setdefault(g.label(node), len(label_of))
         for u, v in g.edges():
             label_of.setdefault(g.edge_label(u, v), len(label_of))
-
-    sections: Dict[str, bytes] = {}
-    meta: Dict[str, object] = {"db_size": len(db)}
-    sections["universe"] = mask_to_bytes(full_mask(len(db)))
-
-    blobs = []
-    if include_catalogs and indexes is not None:
-        for catalog in (indexes.frequent, indexes.difs):
-            for frag in catalog.values():
-                for node in frag.graph.nodes():
-                    label_of.setdefault(frag.graph.label(node), len(label_of))
-                for u, v in frag.graph.edges():
-                    label_of.setdefault(
-                        frag.graph.edge_label(u, v), len(label_of)
-                    )
     labels = [None] * len(label_of)
     for label, idx in label_of.items():
         labels[idx] = label
-    sections["labels"] = pickle.dumps(labels, protocol=pickle.HIGHEST_PROTOCOL)
 
-    for _, g in db.items():
-        blobs.append(_encode_graph(g, label_of))
+    blobs = [_encode_graph(g, label_of) for _, g in db.items()]
     offsets = [0]
     for blob in blobs:
         offsets.append(offsets[-1] + len(blob))
@@ -182,39 +141,10 @@ def encode_arena(
         graphs.write(_U64.pack(off))
     for blob in blobs:
         graphs.write(blob)
-    sections["graphs"] = graphs.getvalue()
-
-    if indexes is not None:
-        sections["a2f"] = pickle.dumps(
-            indexes.a2f.arena_payload(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        sections["a2i"] = pickle.dumps(
-            indexes.a2i.arena_payload(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        if include_catalogs:
-            meta["params"] = (
-                indexes.params.min_support,
-                indexes.params.size_threshold,
-                indexes.params.max_fragment_edges,
-            )
-            for name, catalog in (
-                ("frequent", indexes.frequent), ("difs", indexes.difs)
-            ):
-                records = [
-                    (
-                        frag.code,
-                        mask_to_bytes(bits_of(frag.fsg_ids)),
-                        _encode_graph(frag.graph, label_of),
-                    )
-                    for frag in sorted(
-                        catalog.values(), key=lambda f: (f.size, f.code)
-                    )
-                ]
-                sections[name] = pickle.dumps(
-                    records, protocol=pickle.HIGHEST_PROTOCOL
-                )
-
-    sections["meta"] = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
+    sections = {
+        "labels": pickle.dumps(labels, protocol=pickle.HIGHEST_PROTOCOL),
+        "graphs": graphs.getvalue(),
+    }
 
     # Section offsets are relative to the end of the header, so the header's
     # own length never feeds back into them.
@@ -246,45 +176,8 @@ def encode_arena(
 # ----------------------------------------------------------------------
 # the arena object
 # ----------------------------------------------------------------------
-class ArenaIndexTable:
-    """Read-only A2F/A2I lookup view decoded from an arena section.
-
-    Bitmasks decode lazily and memoise — probing one entry does not pay for
-    the whole table.
-    """
-
-    __slots__ = ("codes", "sizes", "_blobs", "_by_code", "_bits", "beta")
-
-    def __init__(self, payload: Dict[str, object]) -> None:
-        self.codes: List = list(payload["codes"])
-        self.sizes: List[int] = list(payload["sizes"])
-        self._blobs: List[bytes] = list(payload["bits"])
-        self.beta: Optional[int] = payload.get("beta")
-        self._by_code = {code: i for i, code in enumerate(self.codes)}
-        self._bits: Dict[int, int] = {}
-
-    def lookup(self, code) -> Optional[int]:
-        return self._by_code.get(code)
-
-    def __contains__(self, code) -> bool:
-        return code in self._by_code
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def fsg_bits(self, idx: int) -> int:
-        cached = self._bits.get(idx)
-        if cached is None:
-            cached = mask_from_bytes(self._blobs[idx])
-            self._bits[idx] = cached
-        return cached
-
-    def fsg_ids(self, idx: int) -> FrozenSet[int]:
-        return ids_of(self.fsg_bits(idx))
-
-
 class IndexArena:
-    """A parsed arena over any buffer (bytes, shared memory, or mmap).
+    """A parsed arena over any buffer (bytes or shared memory).
 
     The instance memoises decoded graphs — in a pool worker that makes graph
     materialization a once-per-arena-version cost, amortized across every
@@ -318,17 +211,11 @@ class IndexArena:
         self._labels: Optional[List[Optional[str]]] = None
         self._graph_cache: Dict[int, Graph] = {}
         self._graph_offsets: Optional[List[int]] = None
-        self._tables: Dict[str, ArenaIndexTable] = {}
-        self._universe: Optional[int] = None
-        self._meta: Optional[Dict[str, object]] = None
 
     # -- section access ------------------------------------------------
     @property
     def nbytes(self) -> int:
         return self._buf.nbytes
-
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
 
     def _section(self, name: str) -> memoryview:
         try:
@@ -336,19 +223,6 @@ class IndexArena:
         except KeyError:
             raise IndexError_(f"arena has no {name!r} section") from None
         return self._buf[off : off + length]
-
-    @property
-    def meta(self) -> Dict[str, object]:
-        if self._meta is None:
-            self._meta = pickle.loads(bytes(self._section("meta")))
-        return self._meta
-
-    @property
-    def universe_bits(self) -> int:
-        """The candidate algebra's all-graphs bitmask."""
-        if self._universe is None:
-            self._universe = mask_from_bytes(bytes(self._section("universe")))
-        return self._universe
 
     def labels(self) -> List[Optional[str]]:
         if self._labels is None:
@@ -383,49 +257,18 @@ class IndexArena:
         """``(gid, graph)`` pairs for a chunk of ids — the worker fetch API."""
         return [(gid, self.graph(gid)) for gid in ids]
 
-    # -- index tables --------------------------------------------------
-    def a2f_table(self) -> ArenaIndexTable:
-        if "a2f" not in self._tables:
-            self._tables["a2f"] = ArenaIndexTable(
-                pickle.loads(bytes(self._section("a2f")))
-            )
-        return self._tables["a2f"]
-
-    def a2i_table(self) -> ArenaIndexTable:
-        if "a2i" not in self._tables:
-            self._tables["a2i"] = ArenaIndexTable(
-                pickle.loads(bytes(self._section("a2i")))
-            )
-        return self._tables["a2i"]
-
-    def catalog(self, name: str):
-        """Rebuild a fragment catalog section (persistence format only)."""
-        from repro.mining.fragments import Fragment
-
-        records = pickle.loads(bytes(self._section(name)))
-        labels = self.labels()
-        out = {}
-        for code, mask_blob, graph_blob in records:
-            graph = _decode_graph(memoryview(graph_blob), labels)
-            out[code] = Fragment(
-                code=code,
-                graph=graph,
-                fsg_ids=ids_of(mask_from_bytes(mask_blob)),
-            )
-        return out
-
     # -- shared-memory lifecycle ---------------------------------------
     @classmethod
-    def build(cls, db: GraphDatabase, indexes=None) -> "IndexArena":
-        """Encode the runtime plane for ``db`` into a bytes-backed arena."""
-        return cls(encode_arena(db, indexes=indexes))
+    def build(cls, db: GraphDatabase) -> "IndexArena":
+        """Encode ``db``'s graphs into a bytes-backed arena."""
+        return cls(encode_arena(db))
 
     def publish(self) -> Optional[str]:
         """Copy the arena into a ``SharedMemory`` segment (memoised).
 
         Returns the segment name pool workers attach with, or ``None`` when
-        shared memory is unavailable on this platform — callers then fall
-        back to by-value payloads.
+        shared memory is unavailable on this platform — callers then verify
+        serially in-process.
         """
         if self._shm is not None:
             return self._shm.name

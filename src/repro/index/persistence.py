@@ -8,24 +8,14 @@ respective system must materialise:
 * SG/GR — their shared frequent-feature index;
 * DVP — its σ-dependent decomposition index (built per σ).
 
-Two on-disk formats coexist:
-
-* :func:`save_indexes`/:func:`load_indexes` — the original pickle of the raw
-  fragment catalogs;
-* :func:`save_indexes_arena`/:func:`load_indexes_arena` — the arena format
-  (:mod:`repro.index.arena`): the same catalogs plus the data graphs and the
-  A2F/A2I lookup tables in one compact, versioned, mmap-readable buffer —
-  the bytes that :func:`load_indexes_arena` maps are the very bytes pool
-  workers would attach to in shared memory.
-
-Both loaders rebuild byte-identical indexes: lookups and the size
-accounting above cannot depend on which format a session restored from
-(``tests/index/test_persistence.py`` holds that property).
+The one on-disk format, :func:`save_indexes`/:func:`load_indexes`, pickles
+the raw fragment catalogs; loading rebuilds indexes whose lookups and size
+accounting equal the live ones (``tests/index/test_persistence.py`` holds
+that property).
 """
 
 from __future__ import annotations
 
-import mmap
 import pickle
 from pathlib import Path
 from typing import Any, Dict, Union
@@ -85,67 +75,6 @@ def load_indexes(path: Union[str, Path]) -> ActionAwareIndexes:
 
     with Path(path).open("rb") as handle:
         frequent, difs, params, db_size = pickle.load(handle)
-    return _AAI(
-        a2f=A2FIndex(frequent, params.size_threshold),
-        a2i=A2IIndex(difs),
-        frequent=frequent,
-        difs=difs,
-        params=params,
-        db_size=db_size,
-    )
-
-
-def save_indexes_arena(
-    indexes: ActionAwareIndexes, db, path: Union[str, Path]
-) -> int:
-    """Write the arena persistence format to ``path``; returns bytes written.
-
-    ``db`` is the database the indexes were built over — the arena embeds
-    its graphs and content fingerprint, so a loaded arena can be published
-    straight into shared memory for the verification pool.
-    """
-    # Local import: repro.core (via the arena's candidate algebra) pulls in
-    # the index package at init.
-    from repro.index.arena import encode_arena
-
-    path = Path(path)
-    data = encode_arena(db, indexes=indexes, include_catalogs=True)
-    path.write_bytes(data)
-    return len(data)
-
-
-def load_indexes_arena(path: Union[str, Path]) -> ActionAwareIndexes:
-    """Inverse of :func:`save_indexes_arena`.
-
-    The file is mapped read-only (no up-front copy of the graph records);
-    the fragment catalogs are decoded out of the mapping and the indexes
-    rebuilt exactly as :func:`load_indexes` does, so both formats restore
-    identical lookup behaviour and size accounting.
-    """
-    from repro.config import MiningParams
-    from repro.index.a2f import A2FIndex
-    from repro.index.a2i import A2IIndex
-    from repro.index.arena import IndexArena
-    from repro.index.builder import ActionAwareIndexes as _AAI
-
-    with Path(path).open("rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            arena = IndexArena(mapped)
-            frequent = arena.catalog("frequent")
-            difs = arena.catalog("difs")
-            min_support, size_threshold, max_fragment_edges = (
-                arena.meta["params"]
-            )
-            db_size = arena.meta["db_size"]
-            arena.close()
-        finally:
-            mapped.close()
-    params = MiningParams(
-        min_support=min_support,
-        size_threshold=size_threshold,
-        max_fragment_edges=max_fragment_edges,
-    )
     return _AAI(
         a2f=A2FIndex(frequent, params.size_threshold),
         a2i=A2IIndex(difs),

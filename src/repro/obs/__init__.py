@@ -9,8 +9,8 @@ millisecond of a formulation session goes* without changing any answer:
   engine opens one ``action.*`` span per GUI gesture with children for SPIG
   construction, candidate algebra and verification;
 * **metrics** (:mod:`repro.obs.metrics`) — counters/gauges for cache
-  hits/misses (canonical LRU, A2F/A2I posting lists), bitset-vs-frozenset
-  path taken, and verification-pool task counts and fallbacks;
+  hits/misses (canonical LRU, A2F/A2I posting lists) and verification-pool
+  task counts and fallbacks;
 * **histograms** (:mod:`repro.obs.histogram`) — always-on latency
   distributions (log-scale buckets, exact-rank p50/p90/p99) per engine
   action and per instrumented site, alive even with tracing off;
@@ -57,11 +57,11 @@ needs no environment variable:
 >>> with obs.trace() as tracer:
 ...     with obs.span("session", queries=1):
 ...         with obs.span("action.new"):
-...             obs.count("candidates.path.bitset")
+...             obs.count("engine.action.new")
 >>> print(obs.render_span_tree(tracer.roots).split()[0])
 session
 >>> obs.METRICS.snapshot()["counters"]
-{'candidates.path.bitset': 1}
+{'engine.action.new': 1}
 
 Instrumented modules never *require* tracing: with the tracer disabled the
 engine behaves byte-for-byte identically (pinned by

@@ -399,17 +399,15 @@ def render_top(
             f"serial scans {counters.get('verify.serial', 0)}"
         )
         spawns = counters.get("verify.pool.spawns", 0)
-        if spawns or counters.get("verify.pool.cold_spawns", 0):
+        if spawns:
             # Warm-pool health: reuses dwarfing spawns means dispatches hit
             # running workers; respawns/expired mark broken-pool recoveries
-            # and idle-TTL recycles; cold spawns only appear with
-            # REPRO_POOL_WARM=0.
+            # and idle-TTL recycles.
             lines.append(
                 f"  warm spawns {spawns}  "
                 f"reuses {counters.get('verify.pool.reuses', 0)}  "
                 f"respawns {counters.get('verify.pool.respawns', 0)}  "
-                f"expired {counters.get('verify.pool.expired', 0)}  "
-                f"cold spawns {counters.get('verify.pool.cold_spawns', 0)}"
+                f"expired {counters.get('verify.pool.expired', 0)}"
             )
         builds = counters.get("arena.builds", 0)
         if builds:

@@ -6,8 +6,7 @@ happened**, in order, with arguments.  The flight recorder is the black box
 for that: a bounded ``deque`` of structured events that every interesting
 site appends to — action boundaries, cache hit/miss *transitions* (recorded
 only when the streak flips, so steady-state hits cost one dict probe),
-bitset-vs-frozenset path switches, verification-pool runs and fallbacks, and
-exceptions with their tracebacks.
+verification-pool runs and fallbacks, and exceptions with their tracebacks.
 
 It is on by default (``REPRO_RECORDER=0`` disables it; ``docs/``
 ``CONFIGURATION.md``) precisely because it only pays off for the failures

@@ -1,17 +1,17 @@
 """Differential-testing oracle for the blended formulation/processing engine.
 
-PR 1 gave every hot path a reference twin (bitset candidates vs frozensets,
-memoized canonical codes vs recomputation, pooled verification vs serial) —
-exactly the configuration matrix where silent divergence bugs hide, and
-Algorithm 1's per-edge blending means one wrong candidate set corrupts every
-later action of a session.  This package systematically hunts such bugs:
+Two hot paths have a reference twin (memoized canonical codes vs
+recomputation, pooled verification vs serial) — exactly the configuration
+matrix where silent divergence bugs hide, and Algorithm 1's per-edge
+blending means one wrong candidate set corrupts every later action of a
+session.  This package systematically hunts such bugs:
 
 * :mod:`repro.oracle.fuzzer` generates randomized-but-valid formulation
   sessions (seeded, hence reproducible) over small synthetic corpora;
 * :mod:`repro.oracle.replay` replays a session under each hot-path
-  configuration (``REPRO_BITSET`` on/off × canonical cache on/off ×
-  ``REPRO_WORKERS`` 1/N) and captures an observation per step — candidate
-  sets, statuses, results; timings are deliberately excluded;
+  configuration (canonical cache on/off × ``REPRO_WORKERS`` 1/N) and
+  captures an observation per step — candidate sets, statuses, results;
+  timings are deliberately excluded;
 * :mod:`repro.oracle.oracles` adds two independent ground truths: the naive
   scan baseline (no index, no SPIG) and a from-scratch re-formulation of the
   final query (incremental SPIG state must equal fresh state);

@@ -25,7 +25,7 @@ from repro.baselines.naive import (
     naive_containment_search,
     naive_similarity_search,
 )
-from repro.core.exact import exact_sub_candidates
+from repro.core.exact import exact_sub_candidates, is_verification_free
 from repro.core.prague import PragueEngine
 from repro.core.similar import similar_results_gen, similar_sub_candidates
 from repro.core.verification import exact_verification
@@ -219,11 +219,11 @@ def _fresh_replay_lines(session: ReplaySession) -> List[str]:
         # Final results, computed component-wise in the session's σ.
         exact_a = exact_verification(
             final, rq_incr, session.corpus.db,
-            t_incr.fragment_list.is_indexed,
+            is_verification_free(t_incr, engine.indexes, session.corpus.db),
         )
         exact_b = exact_verification(
             final, rq_fresh, session.corpus.db,
-            t_fresh.fragment_list.is_indexed,
+            is_verification_free(t_fresh, fresh.indexes, session.corpus.db),
         )
         if exact_a != exact_b:
             lines.append(f"exact results: {exact_a} != {exact_b}")

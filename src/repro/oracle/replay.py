@@ -1,11 +1,11 @@
 """Config-matrix replay: one trace, every hot-path configuration.
 
 The hot-path layer reads its knobs from the environment at call time
-(:func:`repro.config.bitset_candidates`, :func:`canonical_cache_size`,
-:func:`verification_workers`), so a configuration is just an environment
-patch.  :func:`replay_trace` applies one, replays a trace on a fresh engine
-and records an observation per step; the harness diffs those observation
-streams across the matrix.
+(:func:`repro.config.canonical_cache_size`,
+:func:`repro.config.verification_workers`), so a configuration is just an
+environment patch.  :func:`replay_trace` applies one, replays a trace on a
+fresh engine and records an observation per step; the harness diffs those
+observation streams across the matrix.
 
 Engine-raised :class:`~repro.exceptions.ReproError`\\ s (and any crash) are
 *recorded into the observation* rather than propagated: a trace therefore
@@ -32,29 +32,17 @@ from repro.oracle.trace import SessionTrace, apply_action, observe_step
 class OracleConfig:
     """One cell of the hot-path configuration matrix."""
 
-    bitset: bool = True
     canonical_cache: bool = True
     workers: int = 1
-    arena: bool = True
-    warm_pool: bool = True
 
     @property
     def name(self) -> str:
-        return (
-            f"bitset={int(self.bitset)},"
-            f"cache={int(self.canonical_cache)},"
-            f"workers={self.workers},"
-            f"arena={int(self.arena)},"
-            f"warm={int(self.warm_pool)}"
-        )
+        return f"cache={int(self.canonical_cache)},workers={self.workers}"
 
     def env(self) -> Dict[str, str]:
         return {
-            "REPRO_BITSET": "1" if self.bitset else "0",
             "REPRO_CANONICAL_CACHE": "8192" if self.canonical_cache else "0",
             "REPRO_WORKERS": str(self.workers),
-            "REPRO_ARENA": "1" if self.arena else "0",
-            "REPRO_POOL_WARM": "1" if self.warm_pool else "0",
             # The oracle corpora are small; pin the pool floor down so the
             # workers>1 cells actually exercise the pooled path instead of
             # silently degenerating to the serial one.
@@ -62,21 +50,15 @@ class OracleConfig:
         }
 
 
-#: The reference cell every other cell is diffed against: bitset algebra on,
-#: canonical LRU on, serial verification — the CI default.
-REFERENCE_CONFIG = OracleConfig(bitset=True, canonical_cache=True, workers=1)
+#: The reference cell every other cell is diffed against: canonical LRU on,
+#: serial verification — the CI default.
+REFERENCE_CONFIG = OracleConfig(canonical_cache=True, workers=1)
 
-#: Matrix: REPRO_BITSET on/off × canonical cache on/off × workers 1/3 (at the
-#: arena/warm-pool defaults), plus the pool-plane cells — arena on/off ×
-#: warm/cold at workers 3, where the pool actually runs.  The full
-#: 5-dimensional product would be 32 replays per trace for no extra
-#: coverage: arena and pool knobs are inert on the serial cells.
+#: Matrix: canonical cache on/off × workers 1/3 (3 workers dispatch to the
+#: warm pool over the shared-memory arena).
 CONFIG_MATRIX: Tuple[OracleConfig, ...] = tuple(
-    OracleConfig(bitset=b, canonical_cache=c, workers=w)
-    for b, c, w in itertools.product((True, False), (True, False), (1, 3))
-) + tuple(
-    OracleConfig(workers=3, arena=a, warm_pool=wp)
-    for a, wp in ((True, False), (False, True), (False, False))
+    OracleConfig(canonical_cache=c, workers=w)
+    for c, w in itertools.product((True, False), (1, 3))
 )
 
 

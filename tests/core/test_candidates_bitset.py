@@ -1,20 +1,20 @@
-"""Bitset candidate algebra agrees with the frozenset reference everywhere:
-primitive ops, Algorithm 3's Φ/Υ intersection, Algorithm 4's Rfree/Rver
-buckets and Algorithm 6's deletion suggestion (REPRO_BITSET on vs off)."""
+"""The bitmask candidate algebra against the paper's definitions.
 
-import os
+Primitive ops are checked against plain set ops; Algorithm 3's ``Rq``,
+Algorithm 4's Rfree/Rver buckets and Algorithm 6's deletion suggestion are
+checked against reference implementations written from their definitions on
+plain sets, on every SPIG vertex of randomized queries.  Each comparison runs
+twice: over the indexed database, and over a universe with two graphs
+appended after the index build (ids the FSG lists never saw)."""
+
 import random
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import candidates as cand
-from repro.core.exact import (
-    exact_sub_candidates,
-    exact_sub_candidates_bits,
-    exact_sub_candidates_sets,
-)
+from repro.core.exact import exact_sub_candidates, exact_sub_candidates_bits
+from repro.core.modify import DeletionSuggestion, deletable_edges
 from repro.core.similar import similar_sub_candidates
 from repro.graph.generators import perturb_with_new_edge
 from repro.query_graph import VisualQuery
@@ -22,21 +22,6 @@ from repro.spig import SpigManager
 from repro.testing import connected_order, sample_subgraph
 
 id_sets = st.sets(st.integers(0, 200), max_size=60)
-
-
-@contextmanager
-def _bitset_mode(toggle: str):
-    """Flip REPRO_BITSET inside a hypothesis example (monkeypatch is
-    function-scoped and thus off-limits under @given)."""
-    old = os.environ.get("REPRO_BITSET")
-    os.environ["REPRO_BITSET"] = toggle
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BITSET", None)
-        else:
-            os.environ["REPRO_BITSET"] = old
 
 
 class TestPrimitives:
@@ -67,9 +52,64 @@ class TestPrimitives:
 
 
 # ----------------------------------------------------------------------
+# the definitions, on plain sets
+# ----------------------------------------------------------------------
+def _reference_rq(vertex, indexes, db_ids):
+    """Algorithm 3: an indexed fragment's FSG ids, else the intersection of
+    its Φ and Υ id sets (all graphs when both are empty); graphs appended
+    after the build are in every answer."""
+    fl = vertex.fragment_list
+    appended = frozenset(gid for gid in db_ids if gid >= indexes.db_size)
+    if fl.dead:
+        return appended
+    if fl.freq_id is not None:
+        return indexes.a2f.fsg_ids(fl.freq_id) | appended
+    if fl.dif_id is not None:
+        return indexes.a2i.fsg_ids(fl.dif_id) | appended
+    id_sets = [indexes.a2f.fsg_ids(i) for i in fl.phi]
+    id_sets += [indexes.a2i.fsg_ids(i) for i in fl.upsilon]
+    if not id_sets:
+        return db_ids
+    return frozenset.intersection(*id_sets) | appended
+
+
+def _reference_buckets(query, sigma, manager, indexes, db_ids):
+    """Algorithm 4: per level, the indexed vertices' candidates are
+    verification-free (appended graphs excepted); the rest must be
+    verified."""
+    appended = {gid for gid in db_ids if gid >= indexes.db_size}
+    free, ver = {}, {}
+    q_size = query.num_edges
+    for level in range(q_size, max(q_size - sigma, 1) - 1, -1):
+        indexed, other = set(), set()
+        for vertex in manager.vertices_at_level(level):
+            rq = _reference_rq(vertex, indexes, db_ids)
+            (indexed if vertex.fragment_list.is_indexed else other).update(rq)
+        free[level] = indexed - appended
+        ver[level] = (indexed | other) - free[level]
+    return free, ver
+
+
+def _reference_suggestion(query, manager, indexes, db_ids):
+    """Algorithm 6, lines 3-8: the first deletable edge whose remainder has
+    the most candidates."""
+    best = None
+    for eid in deletable_edges(query):
+        rest = query.edge_id_set() - {eid}
+        vertex = manager.vertex_for(rest) if rest else None
+        if vertex is None:
+            continue
+        rq = _reference_rq(vertex, indexes, db_ids)
+        if best is None or len(rq) > len(best.candidates):
+            best = DeletionSuggestion(edge_id=eid, candidates=rq)
+    return best
+
+
+# ----------------------------------------------------------------------
 # randomized SPIG/A2F fixtures: every vertex of every level
 # ----------------------------------------------------------------------
-def _spig_state(indexes, g):
+def _spig_states(indexes, g):
+    """The live (query, SPIG set) after each edge of a formulation of g."""
     query = VisualQuery()
     for node in g.nodes():
         query.add_node(node, g.label(node))
@@ -77,7 +117,13 @@ def _spig_state(indexes, g):
     for u, v in connected_order(g):
         eid = query.add_edge(u, v, g.edge_label(u, v))
         manager.on_new_edge(query, eid)
-    return query, manager
+        yield query, manager
+
+
+def _spig_state(indexes, g):
+    """The live (query, SPIG set) once all of g is drawn."""
+    *_, last = _spig_states(indexes, g)
+    return last
 
 
 def _sample_query(seed, db):
@@ -88,6 +134,12 @@ def _sample_query(seed, db):
     return q, rng.randint(1, 3)
 
 
+def _universes(db):
+    """The indexed database, and the same plus two appended graph ids."""
+    db_ids = frozenset(db.ids())
+    return db_ids, db_ids | {len(db), len(db) + 1}
+
+
 class TestAlgorithm3Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=30, deadline=None)
@@ -96,71 +148,67 @@ class TestAlgorithm3Equivalence:
     ):
         q, _ = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
-        db_ids = frozenset(small_db.ids())
-        db_bits = cand.bits_of(db_ids)
-        for level in range(1, query.num_edges + 1):
-            for vertex in manager.vertices_at_level(level):
-                via_sets = exact_sub_candidates_sets(
-                    vertex, small_indexes, db_ids
-                )
-                via_bits = cand.ids_of(
-                    exact_sub_candidates_bits(vertex, small_indexes, db_bits)
-                )
-                assert via_bits == via_sets
+        for db_ids in _universes(small_db):
+            db_bits = cand.bits_of(db_ids)
+            for level in range(1, query.num_edges + 1):
+                for vertex in manager.vertices_at_level(level):
+                    via_bits = cand.ids_of(exact_sub_candidates_bits(
+                        vertex, small_indexes, db_bits
+                    ))
+                    assert via_bits == _reference_rq(
+                        vertex, small_indexes, db_ids
+                    )
 
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=20, deadline=None)
-    def test_public_api_identical_under_toggle(
+    def test_public_api_agrees_with_sets(
         self, seed, small_db, small_indexes
     ):
-        """exact_sub_candidates returns the same Rq with REPRO_BITSET on/off."""
+        """exact_sub_candidates (the frozenset form) returns the same Rq."""
         q, _ = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
-        db_ids = frozenset(small_db.ids())
         vertex = manager.target_vertex(query)
-        with _bitset_mode("1"):
-            rq_bits = exact_sub_candidates(vertex, small_indexes, db_ids)
-        with _bitset_mode("0"):
-            rq_sets = exact_sub_candidates(vertex, small_indexes, db_ids)
-        assert rq_bits == rq_sets
+        for db_ids in _universes(small_db):
+            assert exact_sub_candidates(
+                vertex, small_indexes, db_ids
+            ) == _reference_rq(vertex, small_indexes, db_ids)
 
 
 class TestAlgorithm4Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=20, deadline=None)
-    def test_rfree_rver_identical_under_toggle(
+    def test_rfree_rver_agree_with_sets(
         self, seed, small_db, small_indexes
     ):
         q, sigma = _sample_query(seed, small_db)
         query, manager = _spig_state(small_indexes, q)
-        db_ids = frozenset(small_db.ids())
-        buckets = {}
-        for toggle in ("1", "0"):
-            with _bitset_mode(toggle):
-                cands = similar_sub_candidates(
-                    query, sigma, manager, small_indexes, db_ids
-                )
-            buckets[toggle] = (
+        for db_ids in _universes(small_db):
+            cands = similar_sub_candidates(
+                query, sigma, manager, small_indexes, db_ids
+            )
+            got = (
                 {lvl: set(cands.free_at(lvl)) for lvl in cands.levels()},
                 {lvl: set(cands.ver_at(lvl)) for lvl in cands.levels()},
             )
-        assert buckets["1"] == buckets["0"]
+            assert got == _reference_buckets(
+                query, sigma, manager, small_indexes, db_ids
+            )
 
 
 class TestAlgorithm6Equivalence:
     @given(seed=st.integers(0, 50_000))
     @settings(max_examples=15, deadline=None)
-    def test_deletion_suggestion_identical_under_toggle(
+    def test_suggestion_agrees_with_sets(
         self, seed, small_db, small_indexes
     ):
         from repro.core.modify import suggest_deletion
 
         q, _ = _sample_query(seed, small_db)
-        query, manager = _spig_state(small_indexes, q)
-        suggestions = {}
-        for toggle in ("1", "0"):
-            with _bitset_mode(toggle):
-                suggestions[toggle] = suggest_deletion(
-                    query, manager, small_indexes, frozenset(small_db.ids())
+        # Every formulation step, not only the final query.
+        for query, manager in _spig_states(small_indexes, q):
+            for db_ids in _universes(small_db):
+                assert suggest_deletion(
+                    query, manager, small_indexes, db_ids
+                ) == _reference_suggestion(
+                    query, manager, small_indexes, db_ids
                 )
-        assert suggestions["1"] == suggestions["0"]

@@ -53,10 +53,10 @@ class TestEmptyIntersection:
         assert cand.intersect_all(masks) == cand.bits_of({2, 3})
 
     def test_matches_frozenset_reference_semantics(self):
-        """The bitset fold and the frozenset fold agree on the neutral
+        """The bitset fold and a frozenset fold agree on the neutral
         element: intersecting no constraint sets leaves every graph a
-        candidate, exactly like the ``db_ids`` fallback of the reference
-        path in exact.py."""
+        candidate, exactly like the ``db_ids`` fallback of Algorithm 3 in
+        exact.py."""
         db_ids = frozenset(range(9))
         via_sets = frozenset.intersection(db_ids)  # fold seeded with universe
         via_bits = cand.ids_of(cand.intersect_all([], cand.bits_of(db_ids)))
@@ -172,7 +172,7 @@ def _chunk_len_worker(payload):
 
 
 class TestRunBatchFallback:
-    def test_unpicklable_payload_falls_back_serially(self):
+    def test_unpicklable_payload_falls_back_serially(self, small_arena):
         ids = list(range(64))
         with pytest.warns(RuntimeWarning, match="serial"):
             out = verif._run_batch(
@@ -180,10 +180,11 @@ class TestRunBatchFallback:
                 lambda chunk: (chunk, lambda gid: gid),  # lambda: unpicklable
                 ids,
                 workers=4,
+                arena=small_arena,
             )
         assert out == ids
 
-    def test_picklable_payload_does_not_warn(self):
+    def test_picklable_payload_does_not_warn(self, small_arena):
         ids = list(range(64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -192,6 +193,7 @@ class TestRunBatchFallback:
                 lambda chunk: (chunk, int),
                 ids,
                 workers=2,
+                arena=small_arena,
             )
         assert out == ids
 

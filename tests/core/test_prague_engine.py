@@ -158,3 +158,29 @@ class TestBookkeeping:
         engine = PragueEngine(small_db, small_indexes)
         drive_engine(engine, g)
         assert engine.history[-1].rq_size == len(engine.rq)
+
+
+class TestEngineLifetime:
+    def test_engine_does_not_pin_its_indexes(self):
+        """Dropping an engine, its indexes and its database frees the
+        indexes: no process-wide registry keeps a private corpus's tables
+        alive for the life of the process."""
+        import gc
+        import weakref
+
+        from repro.config import MiningParams
+        from repro.index import build_indexes
+        from repro.testing import small_database
+
+        db = small_database(seed=5, num_graphs=12)
+        indexes = build_indexes(db, MiningParams(0.25, 2, 3))
+        engine = PragueEngine(db, indexes)
+        label = db[0].label(next(iter(db[0].nodes())))
+        engine.add_node(0, label)
+        engine.add_node(1, label)
+        engine.add_edge(0, 1)
+        engine.run()
+        ref = weakref.ref(indexes)
+        del engine, indexes, db
+        gc.collect()
+        assert ref() is None

@@ -1,11 +1,10 @@
-"""The warm verification pool and the arena plane, end to end.
+"""The warm verification pool and the shared-memory arena, end to end.
 
 Lifecycle (spawn once, reuse, respawn on reconfigure/TTL/breakage), the
 candidate-count floor, arena invalidation on ``db.add()``, the postmortem
-rate limiter, and the answer-invariance acceptance sweep: serial, warm pool,
-cold pool and arena-off must return byte-identical results — through plain
-``verify_batch`` calls and through the differential oracle's full-session
-replays.
+rate limiter, and answer invariance: serial and warm-pool verification must
+return byte-identical results — through plain ``verify_batch`` calls and
+through the differential oracle's full-session replay.
 """
 
 import os
@@ -99,7 +98,9 @@ class TestWarmPoolLifecycle:
         assert counters.get("verify.pool.expired", 0) == 0
         assert counters.get("verify.pool.reuses", 0) == 1
 
-    def test_broken_pool_is_respawned_on_next_dispatch(self, corpus):
+    def test_broken_pool_is_respawned_on_next_dispatch(
+        self, corpus, small_arena
+    ):
         ids = list(range(32))
         with pytest.warns(RuntimeWarning, match="serial"):
             out = verif._run_batch(
@@ -107,6 +108,7 @@ class TestWarmPoolLifecycle:
                 lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
                 ids,
                 workers=2,
+                arena=small_arena,
             )
         assert out == ids
         # The failed dispatch tore the pool down; the next one respawns
@@ -172,32 +174,6 @@ class TestArenaPlane:
         assert second.version != version
         pool_mod.shutdown()
 
-    def test_arena_disabled_by_env(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA", "0")
-        assert pool_mod.arena_for(corpus) is None
-
-    def test_rebuild_after_db_add_keeps_index_plane(self):
-        """Regression: invalidation used to pop the plane registration, so
-        the rebuilt arena shipped without A2F/A2I tables."""
-        from repro.config import MiningParams
-        from repro.index import build_indexes
-
-        db = small_database(seed=22, num_graphs=20)
-        indexes = build_indexes(
-            db, MiningParams(min_support=0.2, size_threshold=3,
-                             max_fragment_edges=4)
-        )
-        pool_mod.register_index_plane(db, indexes)
-        first = pool_mod.arena_for(db)
-        if first is None:
-            pytest.skip("shared memory unavailable on this platform")
-        assert first.has_section("a2f")
-        db.add(db[0].copy())
-        second = pool_mod.arena_for(db)
-        assert second is not first
-        assert second.has_section("a2f")
-        pool_mod.shutdown()
-
     def test_resolve_distinguishes_mismatch_from_missing_attach(
         self, monkeypatch
     ):
@@ -223,15 +199,7 @@ class TestArenaPlane:
 
 
 class TestAnswerInvariance:
-    @pytest.mark.parametrize("env", [
-        {},                                            # warm pool + arena
-        {"REPRO_POOL_WARM": "0"},                      # cold pool + arena
-        {"REPRO_ARENA": "0"},                          # warm pool, inline
-        {"REPRO_POOL_WARM": "0", "REPRO_ARENA": "0"},  # the historical path
-    ])
-    def test_verify_batch_matches_serial(self, corpus, monkeypatch, env):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_verify_batch_matches_serial(self, corpus):
         query = _query(corpus, seed=7)
         ids = list(corpus.ids())
         serial = verify_batch(query, ids, corpus, workers=1)
@@ -245,20 +213,14 @@ class TestAnswerInvariance:
         pooled = sim_verify_scan(fragments, ids, corpus, workers=4)
         assert pooled == serial
 
-    @pytest.mark.parametrize("arena,warm", [
-        (True, False), (False, True), (False, False),
-    ])
-    def test_oracle_replay_divergence_free(self, arena, warm):
-        """Full-session acceptance: arena on/off × warm/cold replays of the
-        same trace are observation-identical to the serial reference."""
+    def test_oracle_replay_divergence_free(self):
+        """Full-session acceptance: a replay at workers=4 is
+        observation-identical to the serial reference."""
         trace = generate_trace(seed=13)
         reference = replay_trace(trace, OracleConfig(workers=1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cell = replay_trace(
-                trace,
-                OracleConfig(workers=4, arena=arena, warm_pool=warm),
-            )
+            cell = replay_trace(trace, OracleConfig(workers=4))
         divergence = first_divergence(
             reference.observations, cell.observations,
             "workers=1", cell.config.name,
@@ -267,7 +229,7 @@ class TestAnswerInvariance:
 
 
 class TestPostmortemRateLimit:
-    def test_one_bundle_per_exception_type(self, tmp_path):
+    def test_one_bundle_per_exception_type(self, tmp_path, small_arena):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
         RECORDER.reset()
@@ -282,13 +244,16 @@ class TestPostmortemRateLimit:
                             lambda chunk: (chunk, lambda g: g),
                             list(range(32)),
                             workers=2,
+                            arena=small_arena,
                         )
         finally:
             RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
-    def test_unwritten_bundle_does_not_consume_the_slot(self, tmp_path):
+    def test_unwritten_bundle_does_not_consume_the_slot(
+        self, tmp_path, small_arena
+    ):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
         RECORDER.reset()
@@ -301,6 +266,7 @@ class TestPostmortemRateLimit:
                         lambda chunk: (chunk, lambda g: g),
                         list(range(16)),
                         workers=2,
+                        arena=small_arena,
                     )
             # ...so the same exception type still dumps once a dir exists.
             with mock.patch.dict(
@@ -312,13 +278,14 @@ class TestPostmortemRateLimit:
                         lambda chunk: (chunk, lambda g: g),
                         list(range(16)),
                         workers=2,
+                        arena=small_arena,
                     )
         finally:
             RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
-    def test_reset_reopens_the_slot(self, tmp_path):
+    def test_reset_reopens_the_slot(self, tmp_path, small_arena):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
         RECORDER.reset()
@@ -334,6 +301,7 @@ class TestPostmortemRateLimit:
                             lambda chunk: (chunk, lambda g: g),
                             list(range(16)),
                             workers=2,
+                            arena=small_arena,
                         )
         finally:
             RECORDER.force(None)
@@ -355,6 +323,8 @@ signal.signal(signal.SIGTERM, lambda signum, frame: None)
 from multiprocessing.connection import wait
 
 from repro.core.pool import WarmPool
+from repro.index.arena import IndexArena
+from repro.testing import small_database
 
 
 def rendezvous(prefix):
@@ -371,37 +341,46 @@ def busy(marker):
     time.sleep(60)
 
 
-# 1. Idle workers die on SIGTERM.  (This pool is left behind: CPython's
-#    pool cannot recover from a worker killed while it held the task-queue
-#    lock, which an idle worker always does.)
-idle = WarmPool()
-assert len(set(idle.map(rendezvous, [sys.argv[1] + ".ready"] * 2, workers=2))) == 2
-workers = list(idle._pool._pool)
-for proc in workers:
-    os.kill(proc.pid, signal.SIGTERM)
-# Exit shows on each worker's sentinel; its exit code is no witness, since
-# the pool's own thread may reap the worker first.
-pending = {proc.sentinel: proc.pid for proc in workers}
-deadline = time.monotonic() + 5.0
-while pending and time.monotonic() < deadline:
-    for ready in wait(list(pending), timeout=deadline - time.monotonic()):
-        del pending[ready]
-survivors = sorted(pending.values())
-print(json.dumps({"survivors": survivors}), flush=True)
+# The workers attach to a published arena.  os._exit below skips the atexit
+# unlink, so this process disposes of the segment itself.
+arena = IndexArena.build(small_database(seed=0, num_graphs=4))
+assert arena.publish() is not None, "shared memory unavailable"
+try:
+    # 1. Idle workers die on SIGTERM.  (This pool is left behind: CPython's
+    #    pool cannot recover from a worker killed while it held the
+    #    task-queue lock, which an idle worker always does.)
+    idle = WarmPool()
+    pids = idle.map(rendezvous, [sys.argv[1] + ".ready"] * 2, 2, arena)
+    assert len(set(pids)) == 2
+    workers = list(idle._pool._pool)
+    for proc in workers:
+        os.kill(proc.pid, signal.SIGTERM)
+    # Exit shows on each worker's sentinel; its exit code is no witness,
+    # since the pool's own thread may reap the worker first.
+    pending = {proc.sentinel: proc.pid for proc in workers}
+    deadline = time.monotonic() + 5.0
+    while pending and time.monotonic() < deadline:
+        for ready in wait(list(pending), timeout=deadline - time.monotonic()):
+            del pending[ready]
+    survivors = sorted(pending.values())
+    print(json.dumps({"survivors": survivors}), flush=True)
 
-# 2. shutdown() returns while workers are mid-task: terminate() takes the
-#    task-queue lock for good, so only SIGTERM can stop these workers.
-pool = WarmPool()
-assert pool.map(abs, [-1, -2], workers=2) == [1, 2]
-markers = [sys.argv[1] + f".{i}" for i in range(2)]
-pool._pool.map_async(busy, markers, chunksize=1)
-deadline = time.monotonic() + 5.0
-while not all(os.path.exists(m) for m in markers):
-    assert time.monotonic() < deadline, "workers never started"
-    time.sleep(0.01)
-start = time.monotonic()
-pool.shutdown()
-print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
+    # 2. shutdown() returns while workers are mid-task: terminate() takes
+    #    the task-queue lock for good, so only SIGTERM can stop these
+    #    workers.
+    pool = WarmPool()
+    assert pool.map(abs, [-1, -2], 2, arena) == [1, 2]
+    markers = [sys.argv[1] + f".{i}" for i in range(2)]
+    pool._pool.map_async(busy, markers, chunksize=1)
+    deadline = time.monotonic() + 5.0
+    while not all(os.path.exists(m) for m in markers):
+        assert time.monotonic() < deadline, "workers never started"
+        time.sleep(0.01)
+    start = time.monotonic()
+    pool.shutdown()
+    print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
+finally:
+    arena.dispose()
 os._exit(0)
 """
 

@@ -136,8 +136,6 @@ def test_operations_page_covers_the_serve_knob_families():
         "REPRO_SERVICE_MAX_SESSIONS",
         "REPRO_SERVICE_TTL",
         "REPRO_WORKERS",
-        "REPRO_ARENA",
-        "REPRO_POOL_WARM",
         "REPRO_POSTMORTEM_DIR",
         "REPRO_OBS_EXPORT",
     ):

@@ -5,7 +5,8 @@ names, defaults and semantics.  This audit makes that claim enforceable:
 every ``REPRO_*`` environment variable read anywhere in ``src/repro/``
 must have a summary-table row in CONFIGURATION.md, and every knob the
 table documents must still exist in the code — doc rot is caught in both
-directions.
+directions.  A test, benchmark, script or CI step that sets a knob the code
+no longer reads would silently do nothing, so those are audited too.
 """
 
 import re
@@ -37,6 +38,18 @@ def knobs_in_config_module():
     return _concrete(_KNOB.findall(CONFIG_SOURCE.read_text()))
 
 
+def _knob_users():
+    """Files outside ``src/`` that set or name knobs: tests, benchmarks,
+    scripts and CI workflows."""
+    yield from (REPO_ROOT / "tests").rglob("*.py")
+    yield from (REPO_ROOT / "benchmarks").rglob("*.py")
+    yield from (
+        p for p in (REPO_ROOT / "scripts").rglob("*")
+        if p.is_file() and "__pycache__" not in p.parts
+    )
+    yield from (REPO_ROOT / ".github" / "workflows").glob("*")
+
+
 def test_config_module_is_the_single_reader():
     """Knobs are only read via repro.config — no stray os.environ lookups."""
     stray = knobs_in_source() - knobs_in_config_module()
@@ -44,6 +57,18 @@ def test_config_module_is_the_single_reader():
         f"REPRO_* knobs referenced outside src/repro/config.py's vocabulary: "
         f"{sorted(stray)} — add accessors to repro.config"
     )
+
+
+def test_tests_benchmarks_and_ci_name_only_live_knobs():
+    live = knobs_in_config_module()
+    dead = {}
+    for path in _knob_users():
+        for name in _concrete(_KNOB.findall(path.read_text())) - live:
+            dead.setdefault(name, []).append(
+                str(path.relative_to(REPO_ROOT))
+            )
+    dead.pop("REPRO_FOO", None)  # this file's table-row example
+    assert not dead, f"knobs repro.config does not read: {dead}"
 
 
 def test_every_knob_has_a_table_row():
@@ -69,8 +94,8 @@ def test_knob_coverage_is_nontrivial():
     assert {
         "REPRO_SCALE",
         "REPRO_WORKERS",
-        "REPRO_POOL_WARM",
+        "REPRO_POOL_TTL",
         "REPRO_CANONICAL_CACHE",
-        "REPRO_ARENA",
+        "REPRO_POOL_MIN_CANDIDATES",
     } <= knobs
     assert len(_TABLE_ROW.findall(CONFIG_DOC.read_text())) >= 15

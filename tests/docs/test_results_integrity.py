@@ -36,3 +36,14 @@ def test_trajectory_loads_through_the_versioned_loader():
 
     records = load_trajectory(RESULTS / "trajectory.json")
     assert records and isinstance(records, list)
+
+
+def test_oracle_manifest_lists_the_current_matrix():
+    """The checked-in oracle-smoke manifest was produced by the current
+    configuration matrix (regenerate it with ``python -m repro
+    oracle-smoke --sessions 15 --out benchmarks/results/oracle_smoke.json``
+    when the matrix changes)."""
+    from repro.oracle.replay import CONFIG_MATRIX
+
+    manifest = json.loads((RESULTS / "oracle_smoke.json").read_text())
+    assert manifest["configs"] == [c.name for c in CONFIG_MATRIX]

@@ -1,21 +1,26 @@
-"""The shared-memory arena: codec round-trips, lookup parity, lifecycle.
+"""The shared-memory arena: codec round-trips, format, lifecycle.
 
 The arena is answer-critical infrastructure — pool workers verify against
-*decoded* graphs — so the codec tests pin structural identity, the table
-tests pin A2F/A2I probe parity against the live indexes, and the lifecycle
-tests pin the publish/attach/dispose contract (including "dispose really
-unlinks": the no-orphaned-segments guarantee CI checks after the suite).
+*decoded* graphs — so the codec tests pin structural identity, the format
+test pins what the buffer holds, and the lifecycle tests pin the
+publish/attach/dispose contract (including "dispose really unlinks": the
+no-orphaned-segments guarantee CI checks after the suite).
 """
+
+import json
 
 import pytest
 
-from repro.config import MiningParams
-from repro.core.candidates import full_mask
 from repro.exceptions import IndexError_
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import Graph
-from repro.index.arena import IndexArena, db_fingerprint, encode_arena
-from repro.index.builder import build_indexes
+from repro.index.arena import (
+    FORMAT_VERSION,
+    MAGIC,
+    IndexArena,
+    db_fingerprint,
+    encode_arena,
+)
 from repro.testing import small_database
 
 
@@ -24,9 +29,10 @@ def db():
     return small_database(seed=9, num_graphs=25, max_nodes=7)
 
 
-@pytest.fixture(scope="module")
-def indexes(db):
-    return build_indexes(db, MiningParams(0.2, 2, 5))
+def _header(data: bytes) -> dict:
+    start = len(MAGIC) + 4
+    length = int.from_bytes(data[len(MAGIC):start], "little")
+    return json.loads(data[start:start + length])
 
 
 def assert_same_structure(a: Graph, b: Graph) -> None:
@@ -61,11 +67,6 @@ class TestCodec:
         arena = IndexArena.build(db)
         assert_same_structure(g, arena.graph(0))
 
-    def test_universe_is_the_all_graphs_mask(self, db):
-        arena = IndexArena.build(db)
-        assert arena.universe_bits == full_mask(len(db))
-        assert arena.db_size == len(db)
-
     def test_version_is_the_db_fingerprint(self, db):
         arena = IndexArena.build(db)
         assert arena.version == db_fingerprint(db)
@@ -89,46 +90,19 @@ class TestCodec:
         with pytest.raises(IndexError_, match="bad magic"):
             IndexArena(b"NOTANARENA" + b"\x00" * 32)
 
-    def test_missing_section_reported(self, db):
-        arena = IndexArena.build(db)  # no indexes -> no a2f section
-        with pytest.raises(IndexError_, match="no 'a2f' section"):
-            arena.a2f_table()
-
-
-class TestIndexTables:
-    def test_a2f_lookup_parity(self, db, indexes):
-        arena = IndexArena.build(db, indexes=indexes)
-        table = arena.a2f_table()
-        assert len(table) == len(indexes.a2f)
-        for code in indexes.frequent:
-            live = indexes.a2f.lookup(code)
-            assert table.lookup(code) == live
-            assert table.fsg_bits(live) == indexes.a2f.fsg_bits(live)
-            assert table.fsg_ids(live) == indexes.a2f.fsg_ids(live)
-
-    def test_a2i_lookup_parity(self, db, indexes):
-        arena = IndexArena.build(db, indexes=indexes)
-        table = arena.a2i_table()
-        assert len(table) == len(indexes.a2i)
-        for code in indexes.difs:
-            live = indexes.a2i.lookup(code)
-            assert table.lookup(code) == live
-            assert table.fsg_bits(live) == indexes.a2i.fsg_bits(live)
-
-    def test_beta_travels_with_the_a2f_table(self, db, indexes):
-        arena = IndexArena.build(db, indexes=indexes)
-        assert arena.a2f_table().beta == indexes.a2f.beta
-        assert arena.a2i_table().beta is None
-
-    def test_unknown_code_misses(self, db, indexes):
-        arena = IndexArena.build(db, indexes=indexes)
-        assert arena.a2f_table().lookup(("no", "such", "code")) is None
-        assert ("no", "such", "code") not in arena.a2i_table()
+    def test_missing_section_reported(self):
+        header = json.dumps({
+            "format": FORMAT_VERSION, "version": "v", "db_size": 1,
+            "sections": {},
+        }).encode()
+        arena = IndexArena(MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(IndexError_, match="no 'graphs' section"):
+            arena.graph(0)
 
 
 class TestSharedMemoryLifecycle:
-    def test_publish_attach_round_trip(self, db, indexes):
-        arena = IndexArena.build(db, indexes=indexes)
+    def test_publish_attach_round_trip(self, db):
+        arena = IndexArena.build(db)
         name = arena.publish()
         if name is None:
             pytest.skip("shared memory unavailable on this platform")
@@ -137,7 +111,6 @@ class TestSharedMemoryLifecycle:
             attached = IndexArena.attach(name, expected_version=arena.version)
             assert attached.version == arena.version
             assert_same_structure(db[0], attached.graph(0))
-            assert attached.a2f_table().codes == arena.a2f_table().codes
             attached.close()
         finally:
             arena.dispose()
@@ -179,22 +152,12 @@ class TestSharedMemoryLifecycle:
 
 
 class TestEncodeArenaBytes:
-    def test_buffer_is_self_describing(self, db, indexes):
-        data = encode_arena(db, indexes=indexes, include_catalogs=True)
+    def test_buffer_is_self_describing(self, db):
+        data = encode_arena(db)
         arena = IndexArena(data)
         assert arena.nbytes == len(data)
-        assert arena.meta["db_size"] == len(db)
-        for name in ("meta", "universe", "labels", "graphs", "a2f", "a2i",
-                     "frequent", "difs"):
-            assert arena.has_section(name)
-
-    def test_catalogs_rebuild_identically(self, db, indexes):
-        data = encode_arena(db, indexes=indexes, include_catalogs=True)
-        arena = IndexArena(data)
-        rebuilt = arena.catalog("frequent")
-        assert set(rebuilt) == set(indexes.frequent)
-        for code, frag in indexes.frequent.items():
-            assert rebuilt[code].fsg_ids == frag.fsg_ids
-            assert_same_structure(rebuilt[code].graph, frag.graph)
-        rebuilt_difs = arena.catalog("difs")
-        assert set(rebuilt_difs) == set(indexes.difs)
+        assert arena.db_size == len(db)
+        header = _header(data)
+        assert header["version"] == db_fingerprint(db)
+        # A store of graphs and nothing else.
+        assert set(header["sections"]) == {"labels", "graphs"}

@@ -1,9 +1,9 @@
 """Metric counters across the hot-path config matrix.
 
-The counters must *tell the truth about which twin ran*: under
-``REPRO_BITSET=1`` only the bitset path counter moves, under ``=0`` only the
-frozenset one; with a pool (``REPRO_WORKERS=3``) and a large batch the pool
-counters move, serially the serial counter does.
+The counters must *tell the truth about which path ran*: with a pool
+(``REPRO_WORKERS=3``) and a large batch the pool counters move, serially the
+serial counter does; engine action and SPIG counters are the same whatever
+the worker count.
 """
 
 import pytest
@@ -15,8 +15,7 @@ from repro.oracle.replay import OracleConfig, applied, replay_trace
 from repro.testing import sample_subgraph
 
 CONFIGS = [
-    OracleConfig(bitset=bitset, canonical_cache=True, workers=workers)
-    for bitset in (True, False)
+    OracleConfig(canonical_cache=True, workers=workers)
     for workers in (1, 3)
 ]
 
@@ -27,18 +26,6 @@ def _ids(config):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_ids)
 class TestPathCountersAcrossMatrix:
-    def test_candidate_path_counter_matches_bitset_knob(self, config):
-        trace = generate_trace(seed=5)
-        with applied(config), obs.trace():
-            replay_trace(trace, config)
-            counters = obs.full_snapshot()["counters"]
-        taken = counters.get("candidates.path.bitset", 0)
-        avoided = counters.get("candidates.path.frozenset", 0)
-        if config.bitset:
-            assert taken > 0 and avoided == 0
-        else:
-            assert avoided > 0 and taken == 0
-
     def test_engine_action_counters_cover_the_session(self, config):
         trace = generate_trace(seed=5)
         with applied(config), obs.trace():
@@ -57,7 +44,7 @@ class TestPathCountersAcrossMatrix:
     def test_counters_identical_across_configs_where_shared(self, config):
         """SPIG construction volume is knob-independent."""
         trace = generate_trace(seed=5)
-        reference = OracleConfig(bitset=True, canonical_cache=True, workers=1)
+        reference = OracleConfig(canonical_cache=True, workers=1)
         with applied(reference), obs.trace():
             replay_trace(trace, reference)
             base = obs.full_snapshot()["counters"]

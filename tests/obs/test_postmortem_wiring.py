@@ -43,7 +43,9 @@ def _chunk_worker(payload):
 
 
 class TestPoolFallbackBundle:
-    def test_fallback_writes_a_renderable_bundle(self, tmp_path, capsys):
+    def test_fallback_writes_a_renderable_bundle(
+        self, tmp_path, capsys, small_arena
+    ):
         with mock.patch.dict(
             os.environ, {"REPRO_POSTMORTEM_DIR": str(tmp_path)}
         ):
@@ -53,6 +55,7 @@ class TestPoolFallbackBundle:
                     lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
                     list(range(32)),
                     workers=2,
+                    arena=small_arena,
                 )
         assert out == list(range(32))
         bundles = sorted(tmp_path.glob("postmortem-*.json"))
@@ -72,7 +75,7 @@ class TestPoolFallbackBundle:
         assert "pool-fallback" in rendered
         assert "pool.run" in rendered
 
-    def test_no_dir_means_no_files(self, tmp_path):
+    def test_no_dir_means_no_files(self, tmp_path, small_arena):
         with mock.patch.dict(os.environ, {"REPRO_POSTMORTEM_DIR": ""}):
             with pytest.warns(RuntimeWarning, match="serial"):
                 verif._run_batch(
@@ -80,6 +83,7 @@ class TestPoolFallbackBundle:
                     lambda chunk: (chunk, lambda g: g),
                     list(range(8)),
                     workers=2,
+                    arena=small_arena,
                 )
         assert list(tmp_path.iterdir()) == []
 

@@ -173,7 +173,9 @@ def _raising_chunk_worker(payload):
 
 
 class TestFallbackCarriesWorkerTraceback:
-    def test_worker_side_failure_attaches_the_worker_traceback(self):
+    def test_worker_side_failure_attaches_the_worker_traceback(
+        self, small_arena
+    ):
         """When the chunk worker itself raises, ``multiprocessing`` hands the
         parent a RemoteTraceback — the ``pool.fallback`` event must preserve
         that worker-side text (satellite bugfix: previously only the parent's
@@ -189,6 +191,7 @@ class TestFallbackCarriesWorkerTraceback:
                         lambda chunk: list(chunk),
                         list(range(32)),
                         workers=2,
+                        arena=small_arena,
                     )
             events = RECORDER.snapshot()
         finally:
@@ -199,7 +202,7 @@ class TestFallbackCarriesWorkerTraceback:
         assert "boom while testing chunk" in fallback["worker_traceback"]
         assert "_raising_chunk_worker" in fallback["worker_traceback"]
 
-    def test_parent_side_failure_has_no_worker_traceback(self):
+    def test_parent_side_failure_has_no_worker_traceback(self, small_arena):
         """Unpicklable payloads fail before any worker runs — no remote
         frame exists, and the event must not carry a fabricated one."""
         RECORDER.force(True)
@@ -211,6 +214,7 @@ class TestFallbackCarriesWorkerTraceback:
                     lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
                     list(range(32)),
                     workers=2,
+                    arena=small_arena,
                 )
             events = RECORDER.snapshot()
         finally:

@@ -1,12 +1,17 @@
-"""``db.add()`` between replays: invalidation must preserve answer parity.
+"""``db.add()`` between replays: answers must follow the database.
 
-The matrix cell the arena index-plane bugfix needs end to end: grow the
-database after the arena was built and warmed, then prove (a) the pooled
-replay still matches the serial reference observation-for-observation and
-(b) the rebuilt arena still carries the A2F/A2I plane.
+Two matrix cells that grow the database behind the indexes' back:
 
-The corpus is a private replica — the shared ``corpus_for`` cache must never
-see a mutated database.
+* after the arena was built and warmed, one graph is appended; the pooled
+  replay must still match the serial reference observation-for-observation
+  (the arena is rebuilt for the new version);
+* a copy of every graph is appended with a bare ``db.add()`` — one that no
+  :class:`~repro.index.maintenance.IncrementalIndexMaintainer` saw, so no
+  FSG-id list mentions the copies — and every fuzzed session must still
+  agree with the naive scan and with a fresh replay.
+
+The corpora are private replicas — the shared ``corpus_for`` cache must
+never see a mutated database.
 """
 
 import warnings
@@ -15,6 +20,7 @@ import pytest
 
 import repro.core.pool as pool_mod
 from repro.index import build_indexes
+from repro.oracle import fresh_replay_check, naive_baseline_check
 from repro.oracle.corpus import CorpusSpec, OracleCorpus
 from repro.oracle.diff import first_divergence
 from repro.oracle.fuzzer import generate_trace
@@ -47,17 +53,15 @@ def test_db_add_invalidation_keeps_pooled_run_parity():
     spec = CorpusSpec(seed=31)
     trace = generate_trace(seed=17, spec=spec)
     corpus = _private_corpus(spec)
-    pooled = OracleConfig(workers=3, arena=True, warm_pool=True)
+    pooled = OracleConfig(workers=3)
 
-    # First pooled replay: registers the index plane (engine construction)
-    # and leaves a published arena behind.
+    # First pooled replay: leaves a published arena behind.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         replay_trace(trace, pooled, corpus=corpus)
     arena = pool_mod.arena_for(corpus.db)
     if arena is None:
         pytest.skip("shared memory unavailable on this platform")
-    assert arena.has_section("a2f")
 
     corpus.db.add(corpus.db[0].copy())  # invalidates on next arena_for
 
@@ -74,4 +78,20 @@ def test_db_add_invalidation_keeps_pooled_run_parity():
     rebuilt = pool_mod.arena_for(corpus.db)
     assert rebuilt is not arena
     assert rebuilt.version != arena.version
-    assert rebuilt.has_section("a2f")  # the plane survived invalidation
+    assert rebuilt.db_size == len(corpus.db)
+
+
+def test_bare_appends_reach_every_answer():
+    spec = CorpusSpec()
+    corpus = _private_corpus(spec)
+    for gid in list(corpus.db.ids()):
+        corpus.db.add(corpus.db[gid].copy())
+    assert corpus.indexes.db_size == len(corpus.db) // 2
+
+    for seed in range(40):
+        session = replay_trace(generate_trace(seed, spec), corpus=corpus)
+        divergences = naive_baseline_check(session)
+        divergences += fresh_replay_check(session)
+        assert not divergences, f"seed {seed}:\n" + "\n\n".join(
+            d.describe() for d in divergences
+        )

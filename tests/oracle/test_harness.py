@@ -1,7 +1,7 @@
 """End-to-end harness behaviour: clean sweeps stay clean, planted bugs die.
 
 The injection tests are the oracle's own regression suite: each one
-re-introduces a representative hot-path bug (a bitset-only candidate error, a
+re-introduces a representative hot-path bug (a candidate-algebra error, a
 broken SPIG-maintenance step) and asserts the harness catches it, shrinks it,
 and renders a compilable reproducer.  If the oracle ever goes blind, these
 fail before a real bug can slip through.
@@ -51,7 +51,7 @@ def _first_diverging_seed(max_seed=30):
 
 
 class TestInjectedBitsetBug:
-    """A candidate bug on the bitset path only — the config matrix's job."""
+    """A bug in the bitset candidate algebra — the naive scan's job."""
 
     def _patched(self):
         real = exact_mod._phi_upsilon_bits
@@ -66,7 +66,7 @@ class TestInjectedBitsetBug:
             trace, result = _first_diverging_seed()
             assert trace is not None, "injected bug was not caught"
             kinds = {d.kind for d in result.divergences}
-            assert "config" in kinds  # bitset=0 cells disagree with reference
+            assert "naive-baseline" in kinds  # Rq lost a true match
 
             from repro.oracle import format_reproducer, shrink_trace
 

@@ -82,29 +82,23 @@ class TestReplay:
 
 class TestConfigMatrix:
     def test_matrix_covers_all_cells(self):
-        # 8 hot-path cells (bitset × cache × workers) plus the 3 pool-plane
-        # cells (arena/warm-pool variations at workers=3).
-        assert len(set(CONFIG_MATRIX)) == 11
+        # canonical cache on/off × workers 1/3 (3 = the warm pool).
+        assert len(set(CONFIG_MATRIX)) == 4
         assert REFERENCE_CONFIG in CONFIG_MATRIX
-        assert {c.bitset for c in CONFIG_MATRIX} == {True, False}
         assert {c.canonical_cache for c in CONFIG_MATRIX} == {True, False}
         assert {c.workers for c in CONFIG_MATRIX} == {1, 3}
-        pooled = [c for c in CONFIG_MATRIX if c.workers > 1]
-        assert {(c.arena, c.warm_pool) for c in pooled} == {
-            (True, True), (True, False), (False, True), (False, False)
-        }
 
     def test_applied_restores_environment(self, monkeypatch):
         import os
 
         from repro.oracle.replay import applied
 
-        monkeypatch.setenv("REPRO_BITSET", "1")
+        monkeypatch.setenv("REPRO_CANONICAL_CACHE", "100")
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        with applied(OracleConfig(bitset=False, workers=5)):
-            assert os.environ["REPRO_BITSET"] == "0"
+        with applied(OracleConfig(canonical_cache=False, workers=5)):
+            assert os.environ["REPRO_CANONICAL_CACHE"] == "0"
             assert os.environ["REPRO_WORKERS"] == "5"
-        assert os.environ["REPRO_BITSET"] == "1"
+        assert os.environ["REPRO_CANONICAL_CACHE"] == "100"
         assert "REPRO_WORKERS" not in os.environ
 
     def test_trace_without(self):
