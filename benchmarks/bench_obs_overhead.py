@@ -3,10 +3,12 @@
 Not a paper figure: this guards the observability layer's core promise that
 its *default posture* — tracing off, latency histograms and flight recorder
 on — stays invisible.  :mod:`repro.bench.obs_overhead` measures the per-call
-cost of each primitive in a tight loop (spans/counters disabled, histogram
-``observe`` and recorder ``record`` enabled, as they ship), counts how many
-obs calls a real fuzzed session fires, and bounds the per-session overhead
-as ``volume × per-call cost`` against the session wall time.
+cost of each primitive in a tight loop (``timed`` regions with tracing off,
+counters disabled, histogram ``observe`` and recorder ``record`` enabled, as
+they ship), counts how many obs calls a real fuzzed session fires, and
+bounds the per-session overhead as ``volume × per-call cost`` against the
+session wall time.  A region is priced once, at the ``timed`` cost, which
+includes its histogram sample; only per-candidate samples pay ``observe``.
 
 The assertion is ``overhead_bound_pct < 5`` — the tentpole acceptance
 criterion — plus a sanity floor that every per-call cost stays in the
@@ -40,8 +42,9 @@ import pytest
 from repro.bench import emit, format_table
 from repro.bench.obs_overhead import OVERHEAD_CEILING_PCT, run_obs_overhead
 
-#: A disabled obs call that costs ≥ 2 µs would no longer be "an attribute
-#: load and a branch" — catch gross regressions in the no-op path itself.
+#: A default-posture obs call that costs ≥ 2 µs would no longer be "an
+#: attribute load and a branch" (or, for a region, two clock reads and one
+#: histogram sample) — catch gross regressions in the cheap path itself.
 NOOP_CALL_CEILING_NS = 2000.0
 #: ``sync_env`` is not a no-op site: it re-reads four environment knobs
 #: (trace, recorder, recorder size, export target) once per GUI action, and
@@ -57,14 +60,14 @@ def test_obs_overhead(benchmark):
     per_call = data["noop_per_call_ns"]
     volume = data["volume_per_session"]
     rows = [
-        ["span() disabled", f"{per_call['span']:.0f} ns",
-         str(volume["spans"])],
+        ["timed() region", f"{per_call['timed']:.0f} ns",
+         str(volume["regions"])],
         ["count() disabled", f"{per_call['count']:.0f} ns",
          str(volume["counter_increments"])],
         ["sync_env()", f"{per_call['sync_env']:.0f} ns",
          str(volume["env_syncs"])],
         ["observe() enabled", f"{per_call['observe']:.0f} ns",
-         str(volume["histogram_observations"])],
+         str(volume["candidate_samples"])],
         ["record() enabled", f"{per_call['record']:.0f} ns",
          str(volume["recorder_calls"])],
         ["record() exporting",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.export import envelope, open_envelope
 
@@ -74,9 +74,9 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
     * ``micro.*`` — the smoke-scale hot-path benchmarks (memoized canonical
       codes, compiled containment scan, bitset intersection);
     * ``obs.probe_loop_s`` — the combined per-call probe loops of the
-      observability primitives (disabled span/count, sync, enabled
-      histogram/recorder), i.e. the cost bounded by
-      ``bench_obs_overhead``;
+      observability primitives a site calls (a ``timed`` region with
+      tracing off, a disabled count, sync, enabled histogram/recorder),
+      i.e. the cost bounded by ``bench_obs_overhead``;
     * ``pool.warm_dispatch_s`` — one smoke-scale warm-pool dispatch over
       the same corpus (the cost measured by ``bench_pool_warmup``);
     * ``index.build_cold_s`` — one cold mine of the same 60-graph corpus
@@ -231,30 +231,23 @@ def compare_records(
 _PROFILE_MAX_STACKS = 200
 
 
-def collect_profile(
-    seed: int = 2012,
-    hz: float = 200.0,
-    min_seconds: float = 0.5,
-) -> Dict[str, Any]:
-    """A compact sampled profile of the suite's session replay.
-
-    Replays the same fuzzed session ``run_perf_suite`` times (fresh engine
-    per pass) under the statistical sampler until ``min_seconds`` of wall
-    time accumulates, then keeps the busiest :data:`_PROFILE_MAX_STACKS`
-    collapsed stacks.  Attached to trajectory records so ``python -m repro
-    perf --explain A B`` can name the frames behind a regression —
-    ``wall_s`` scales sample shares back into approximate self-seconds.
-    """
+def sample_replays(
+    trace, hz: float, min_seconds: float, mem: int = 0,
+) -> Tuple[Dict[str, Any], Dict[str, int], int, float]:
+    """Replay ``trace`` (fresh engine per pass) under the sampler until
+    ``min_seconds`` of wall time or 1,000 replays, with the ``tracemalloc``
+    tier at top-``mem``; returns ``(collect() payload, folded stacks,
+    replays, wall_s)`` and leaves the profiler empty."""
     from repro.core.prague import PragueEngine
     from repro.obs.profiler import PROFILER
     from repro.oracle.corpus import corpus_for
-    from repro.oracle.fuzzer import generate_trace
     from repro.oracle.trace import apply_action
 
-    trace = generate_trace(seed=seed)
     corpus = corpus_for(trace.spec)
     PROFILER.reset()
     PROFILER.force(hz)
+    if mem:
+        PROFILER.force_mem(mem)
     start = time.perf_counter()
     replays = 0
     try:
@@ -270,8 +263,31 @@ def collect_profile(
                 break
     finally:
         PROFILER.force(None)
-    stacks = PROFILER.stacks()
+        if mem:
+            PROFILER.force_mem(None)
+    profile, stacks = PROFILER.collect(), PROFILER.stacks()
     PROFILER.reset()
+    return profile, stacks, replays, wall_s
+
+
+def collect_profile(
+    seed: int = 2012,
+    hz: float = 200.0,
+    min_seconds: float = 0.5,
+) -> Dict[str, Any]:
+    """A compact sampled profile of the suite's session replay.
+
+    The busiest :data:`_PROFILE_MAX_STACKS` stacks of
+    :func:`sample_replays` over the fuzzed session ``run_perf_suite``
+    times.  Attached to trajectory records so ``python -m repro perf
+    --explain A B`` can name the frames behind a regression — ``wall_s``
+    scales sample shares back into approximate self-seconds.
+    """
+    from repro.oracle.fuzzer import generate_trace
+
+    _profile, stacks, replays, wall_s = sample_replays(
+        generate_trace(seed=seed), hz, min_seconds
+    )
     busiest = dict(sorted(
         stacks.items(), key=lambda kv: (-kv[1], kv[0])
     )[:_PROFILE_MAX_STACKS])

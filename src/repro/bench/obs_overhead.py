@@ -2,22 +2,24 @@
 
 The observability layer's contract is that with ``REPRO_TRACE`` off (the
 default) every *gated* instrumentation site costs one attribute load and a
-branch, and the *always-on* pieces — latency histograms and the flight
-recorder — stay cheap enough to never turn off.  This module turns both
-claims into numbers:
+branch, and the *always-on* pieces — timed regions with their histogram
+samples and the flight recorder — stay cheap enough to never turn off.
+This module turns both claims into numbers:
 
-* **per-call costs** — tight-loop timings of a disabled ``span()``
-  (including the ``with``-protocol on the shared no-op handle), a disabled
+* **per-call costs** — tight-loop timings of a ``timed()`` region with
+  tracing off (two clock reads plus its histogram sample), a disabled
   ``count()``, a ``sync_env()`` call, an *enabled* histogram ``observe()``
-  and an *enabled* recorder ``record()`` (the costlier of the recorder's two
-  entry points; deduplicated ``transition()`` probes are cheaper), each with
-  the empty-loop baseline subtracted;
+  (the per-candidate sample inside verification, which is not a region)
+  and an *enabled* recorder ``record()`` (the costlier of the recorder's
+  two entry points; deduplicated ``transition()`` probes are cheaper),
+  each with the empty-loop baseline subtracted;
 * **per-session obs-call volume** — one traced replay of a fuzzed session
-  counts how many spans, counter increments, env syncs, histogram
-  observations and recorder calls a session actually fires (counter
-  increments via ``amount > 1`` are over-counted per unit, and every
-  recorder call is charged the full ``record()`` price, which only makes
-  the bound more conservative);
+  counts how many regions (every region is a span while tracing), counter
+  increments, env syncs, per-candidate samples (histogram observations
+  that are not a region's) and recorder calls a session actually fires
+  (counter increments via ``amount > 1`` are over-counted per unit, and
+  every recorder call is charged the full ``record()`` price, which only
+  makes the bound more conservative);
 * **the overhead bound** — ``volume × per-call cost`` as a percentage of the
   session's wall time under the default posture (histograms + recorder on,
   tracing off; best of several replays).  This is an upper bound on what the
@@ -57,7 +59,7 @@ from repro.core.prague import PragueEngine
 from repro.obs.histogram import HISTOGRAMS, observe, total_observations
 from repro.obs.metrics import count
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import span, sync_env
+from repro.obs.tracer import sync_env, timed
 
 #: Iterations for the tight no-op loops (cheap: ~a few ms total).
 NOOP_LOOP = 200_000
@@ -87,7 +89,8 @@ def _best_of(fn, repeats: int) -> float:
 def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
     """Per-call costs in seconds, empty-loop baseline subtracted.
 
-    Spans and counters are probed *disabled* (their default); histogram
+    Regions and counters are probed with tracing *off* (their default; a
+    region still reads the clock twice and records its sample); histogram
     ``observe`` and recorder ``record`` are probed *enabled* (their default
     — they are the always-on layer whose live cost the bound must cover).
     """
@@ -100,9 +103,9 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
             for _ in r:
                 pass
 
-        def span_loop() -> None:
+        def timed_loop() -> None:
             for _ in r:
-                with span("bench.noop", probe=1):
+                with timed("bench.noop", probe=1):
                     pass
 
         def count_loop() -> None:
@@ -123,7 +126,7 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
 
         base = _best_of(baseline, 3)
         return {
-            "span_s": max(0.0, (_best_of(span_loop, 3) - base)) / loop,
+            "timed_s": max(0.0, (_best_of(timed_loop, 3) - base)) / loop,
             "count_s": max(0.0, (_best_of(count_loop, 3) - base)) / loop,
             "sync_s": max(0.0, (_best_of(sync_loop, 3) - base)) / loop,
             "observe_s": max(0.0, (_best_of(observe_loop, 3) - base)) / loop,
@@ -320,7 +323,8 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     finally:
         RECORDER.force(None)
         RECORDER.reset()
-    spans = tracer.span_count()
+    regions = tracer.span_count()
+    samples = max(0, observations - regions)  # per-candidate, not regions
     counter_incs = int(sum(snapshot["counters"].values()))
     action_ops = ("add_edge", "add_pattern", "delete_edge", "delete_edges",
                   "relabel_node", "enable_similarity", "run")
@@ -328,10 +332,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
 
     costs = _noop_costs()
     per_session_s = (
-        spans * costs["span_s"]
+        regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
         + syncs * costs["sync_s"]
-        + observations * costs["observe_s"]
+        + samples * costs["observe_s"]
         + recorder_calls * costs["record_s"]
     )
 
@@ -349,10 +353,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         + service_costs["request_log_s"]
     )
     per_session_service_s = (
-        spans * costs["span_s"]
+        regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
         + syncs * costs["sync_s"]
-        + observations * costs["observe_s"]
+        + samples * costs["observe_s"]
         + recorder_calls * record_worst
         + requests * per_request_s
     )
@@ -362,10 +366,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     export_costs = _export_costs()
     emitted = min(_export_session_volume(trace, corpus), recorder_calls)
     per_session_export_s = (
-        spans * costs["span_s"]
+        regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
         + syncs * export_costs["sync_s"]
-        + observations * costs["observe_s"]
+        + samples * costs["observe_s"]
         + (recorder_calls - emitted) * costs["record_s"]
         + emitted * export_costs["record_s"]
     )
@@ -405,7 +409,7 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         "seed": seed,
         "actions": len(trace.actions),
         "noop_per_call_ns": {
-            "span": 1e9 * costs["span_s"],
+            "timed": 1e9 * costs["timed_s"],
             "count": 1e9 * costs["count_s"],
             "sync_env": 1e9 * costs["sync_s"],
             "observe": 1e9 * costs["observe_s"],
@@ -421,10 +425,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
             "request_log": 1e9 * service_costs["request_log_s"],
         },
         "volume_per_session": {
-            "spans": spans,
+            "regions": regions,
             "counter_increments": counter_incs,
             "env_syncs": syncs,
-            "histogram_observations": observations,
+            "candidate_samples": samples,
             "recorder_calls": recorder_calls,
             "exported_events": emitted,
             "service_requests": requests,

@@ -489,7 +489,7 @@ def _cmd_trace(args) -> int:
 
     from repro import obs
     from repro.config import DEFAULT_EDGE_LATENCY_SECONDS
-    from repro.core.prague import RunReport, StepReport
+    from repro.core.prague import RunReport
     from repro.oracle.corpus import corpus_for
     from repro.oracle.fuzzer import generate_trace
     from repro.oracle.trace import apply_action, load_trace
@@ -521,23 +521,17 @@ def _cmd_trace(args) -> int:
     corpus = corpus_for(trace.spec)
     engine = PragueEngine(corpus.db, corpus.indexes, sigma=trace.sigma)
 
-    def step_event(report: StepReport):
-        label = report.action.value
-        if report.edge_id is not None:
-            label += f" e{report.edge_id}"
-        return (label, report.processing_seconds, latency)
-
     events = []
     with obs.trace() as tracer:
         wall_start = time.perf_counter()
         for action in trace.actions:
+            seen = len(engine.history)
             result = apply_action(engine, action)
-            if isinstance(result, StepReport):
-                events.append(step_event(result))
-            elif isinstance(result, list) and result and \
-                    isinstance(result[0], StepReport):
-                events.extend(step_event(r) for r in result)
-            elif isinstance(result, RunReport):
+            # Every report the gesture added, implicit SimQuery included.
+            events.extend(
+                obs.events_from_reports(engine.history[seen:], latency)
+            )
+            if isinstance(result, RunReport):
                 # Run offers no drawing gap; a non-terminal Run (the user
                 # kept drawing afterwards) still contributes a ledger row.
                 events.append(("run", result.processing_seconds, 0.0))
@@ -940,18 +934,16 @@ def _cmd_profile(args) -> int:
     self-contained ``flamegraph.html`` into ``--out``.
     """
     import json
-    import time
 
     from repro import obs
+    from repro.bench.ledger import sample_replays
     from repro.obs.profiler import (
-        PROFILER,
         folded_lines,
         render_flamegraph_html,
         top_frames,
     )
-    from repro.oracle.corpus import corpus_for
     from repro.oracle.fuzzer import generate_trace
-    from repro.oracle.trace import apply_action, load_trace
+    from repro.oracle.trace import load_trace
 
     if args.trace is not None:
         trace = load_trace(args.trace)
@@ -959,33 +951,9 @@ def _cmd_profile(args) -> int:
     else:
         trace = generate_trace(seed=args.seed, sigma=args.sigma)
         source = f"fuzzer seed {args.seed}"
-    corpus = corpus_for(trace.spec)
-
-    PROFILER.reset()
-    PROFILER.force(args.hz)
-    if args.mem:
-        PROFILER.force_mem(args.mem)
-    start = time.perf_counter()
-    replays = 0
-    try:
-        while True:
-            engine = PragueEngine(
-                corpus.db, corpus.indexes, sigma=trace.sigma
-            )
-            for action in trace.actions:
-                apply_action(engine, action)
-            replays += 1
-            wall_seconds = time.perf_counter() - start
-            if wall_seconds >= max(args.seconds, 0.0) or replays >= 1000:
-                break
-    finally:
-        PROFILER.force(None)
-        if args.mem:
-            PROFILER.force_mem(None)
-
-    profile = PROFILER.collect()
-    stacks = PROFILER.stacks()
-    PROFILER.reset()
+    profile, stacks, replays, wall_seconds = sample_replays(
+        trace, args.hz, max(args.seconds, 0.0), mem=args.mem
+    )
     summary = obs.profile_summary(profile)
 
     print(f"profile: {source} — {len(trace.actions)} actions x "

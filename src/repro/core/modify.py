@@ -20,7 +20,6 @@ relabeling is expressible as deletions plus re-insertions (paper, footnote 5).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Set
 
@@ -28,8 +27,7 @@ from repro.core.candidates import bits_of, count, ids_of
 from repro.core.exact import exact_sub_candidates_bits
 from repro.exceptions import QueryError
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
-from repro.obs.tracer import span
+from repro.obs.tracer import timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -62,21 +60,8 @@ def suggest_deletion(
     db_ids: FrozenSet[int],
 ) -> Optional[DeletionSuggestion]:
     """Algorithm 6, lines 3-8: the deletion restoring the most candidates."""
-    start = time.perf_counter()
-    try:
-        return _suggest_deletion(query, manager, indexes, db_ids)
-    finally:
-        observe("modify.suggest", time.perf_counter() - start)
-
-
-def _suggest_deletion(
-    query: VisualQuery,
-    manager: SpigManager,
-    indexes: ActionAwareIndexes,
-    db_ids: FrozenSet[int],
-) -> Optional[DeletionSuggestion]:
     ids = query.edge_id_set()
-    with span("modify.suggest", edges=len(ids)) as sp:
+    with timed("modify.suggest", edges=len(ids)) as sp:
         # Compare modification deltas by popcount; materialise ids once, for
         # the winner only.
         db_bits = bits_of(db_ids)

@@ -38,8 +38,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import pool_idle_ttl
 from repro.obs.metrics import count, gauge
-from repro.obs.profiler import profile_block
+from repro.obs.profiler import profile_action
 from repro.obs.recorder import RECORDER
+from repro.obs.tracer import timed
 
 #: Payload tag for arena-resident chunks (see :func:`resolve_items`).
 ARENA_REF = "arena"
@@ -95,10 +96,10 @@ def arena_for(db) -> Optional[Any]:
             RECORDER.record("arena.invalidate", db_size=len(db))
         from repro.index.arena import IndexArena
 
-        start = time.perf_counter()
-        with profile_block("arena.build"):
+        with profile_action("arena.build"), timed("arena.build") as region:
             arena = IndexArena.build(db)
-        if arena.publish() is None:  # no shared memory on this platform
+            published = arena.publish()
+        if published is None:  # no shared memory on this platform
             arena.dispose()
             return None
         _ARENAS[key] = (
@@ -109,7 +110,7 @@ def arena_for(db) -> Optional[Any]:
         gauge("arena.bytes", arena.nbytes)
         RECORDER.record(
             "arena.build", version=arena.version, bytes=arena.nbytes,
-            graphs=arena.db_size, seconds=time.perf_counter() - start,
+            graphs=arena.db_size, seconds=region.seconds,
         )
         return arena
 

@@ -21,10 +21,12 @@ option dialogue (``option_pending``); the caller either deletes an edge
 draw implicitly opts into similarity search, matching Figure 3's flow where
 the status simply turns "Similar" and formulation proceeds.
 
-All per-action processing is timed (``perf_counter``); the session layer
-overlays these timings on the GUI-latency timeline to compute SRT
-(:mod:`repro.obs.srt`), and every action records a span plus counters
-through :mod:`repro.obs` when ``REPRO_TRACE`` is on.
+Every gesture is one timed region, ``action.<op>``
+(:func:`repro.obs.tracer.timed`): its single duration is the report's
+``processing_seconds``, the ``action.<op>`` histogram sample, the flight
+recorder's ``action.end`` event and, when ``REPRO_TRACE`` is on, the
+gesture's span.  The session layer overlays these timings on the GUI-latency
+timeline to compute SRT (:mod:`repro.obs.srt`).
 
 Example — formulate a two-edge path query over a small seeded corpus and
 run it (ids are deterministic because the corpus is)::
@@ -53,9 +55,9 @@ run it (ids are deterministic because the corpus is)::
 
 from __future__ import annotations
 
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, FrozenSet, Iterator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.plane import SharedPlane
@@ -71,11 +73,9 @@ from repro.exceptions import SessionError
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import NodeId
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
 from repro.obs.profiler import profile_action
-from repro.obs.metrics import count
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import span, sync_env
+from repro.obs.tracer import Span, sync_env, timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -184,20 +184,14 @@ class PragueEngine:
                 )
             # Continuing to draw = implicitly opting into similarity search.
             self.enable_similarity()
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="new")
-        with profile_action("new"), span("action.new") as sp:
-            count("engine.action.new")
+        with self._action("new") as region:
             edge_id = self.query.add_edge(u, v, label)
-            spig_start = time.perf_counter()
-            self.manager.on_new_edge(self.query, edge_id)
-            spig_seconds = time.perf_counter() - spig_start
+            spig = self.manager.on_new_edge(self.query, edge_id)
             report = StepReport(
                 action=Action.NEW,
                 status=QueryStatus.FREQUENT,
                 edge_id=edge_id,
-                spig_seconds=spig_seconds,
+                spig_seconds=spig.construct_seconds,
             )
             if not self.sim_flag:
                 target = self.manager.target_vertex(self.query)
@@ -217,15 +211,8 @@ class PragueEngine:
                 assert self.similar_candidates is not None
                 report.status = QueryStatus.SIMILAR
                 report.candidate_count = self.similar_candidates.candidate_count
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edge=edge_id, status=report.status.value)
-        observe("action.new", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="new", edge=edge_id,
-            status=report.status.value, seconds=report.processing_seconds,
-        )
-        self.history.append(report)
-        return report
+            region.set(edge=edge_id, status=report.status.value)
+        return self._finish(report, region)
 
     def add_pattern(
         self,
@@ -289,11 +276,7 @@ class PragueEngine:
 
     def enable_similarity(self) -> StepReport:
         """Action ``SimQuery``: switch to substructure similarity search."""
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="simquery")
-        with profile_action("simquery"), span("action.simquery") as sp:
-            count("engine.action.simquery")
+        with self._action("simquery") as region:
             self.sim_flag = True
             self.option_pending = False
             self._refresh_similar_candidates()
@@ -302,17 +285,9 @@ class PragueEngine:
                 action=Action.SIM_QUERY,
                 status=QueryStatus.SIMILAR,
                 candidate_count=self.similar_candidates.candidate_count,
-                processing_seconds=time.perf_counter() - start,
             )
-            sp.set(candidates=report.candidate_count)
-        observe("action.simquery", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="simquery",
-            candidates=report.candidate_count,
-            seconds=report.processing_seconds,
-        )
-        self.history.append(report)
-        return report
+            region.set(candidates=report.candidate_count)
+        return self._finish(report, region)
 
     def suggestion(self) -> Optional[DeletionSuggestion]:
         """The edge PRAGUE recommends deleting to make ``Rq`` non-empty."""
@@ -320,11 +295,7 @@ class PragueEngine:
 
     def delete_edge(self, edge_id: Optional[int] = None) -> StepReport:
         """Action ``Modify``: delete an edge (``None`` accepts the suggestion)."""
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with self._action("modify") as region:
             suggestion = None
             if edge_id is None:
                 suggestion = self.suggestion()
@@ -340,15 +311,11 @@ class PragueEngine:
                 suggestion=suggestion,
             )
             self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edge=edge_id, suggested=suggestion is not None)
-        observe("action.modify", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="modify", edge=edge_id,
-            status=report.status.value, seconds=report.processing_seconds,
-        )
-        self.history.append(report)
-        return report
+            region.set(
+                edge=edge_id, suggested=suggestion is not None,
+                status=report.status.value,
+            )
+        return self._finish(report, region)
 
     def delete_edges(self, edge_ids) -> StepReport:
         """Action ``Modify`` with several edges in one gesture.
@@ -359,11 +326,7 @@ class PragueEngine:
         """
         from repro.core.modify import apply_multi_deletion
 
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with self._action("modify") as region:
             applied = apply_multi_deletion(self.query, self.manager, edge_ids)
             self.option_pending = False
             report = StepReport(
@@ -372,15 +335,8 @@ class PragueEngine:
                 edge_id=applied[-1] if applied else None,
             )
             self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(edges=len(applied))
-        observe("action.modify", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="modify", edges=len(applied),
-            status=report.status.value, seconds=report.processing_seconds,
-        )
-        self.history.append(report)
-        return report
+            region.set(edges=len(applied), status=report.status.value)
+        return self._finish(report, region)
 
     def relabel_node(self, node: NodeId, new_label: str) -> StepReport:
         """Relabel a node (footnote 5: deletions plus re-insertions).
@@ -391,11 +347,7 @@ class PragueEngine:
         """
         from repro.core.modify import relabel_node as _relabel
 
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="modify")
-        with profile_action("modify"), span("action.modify") as sp:
-            count("engine.action.modify")
+        with self._action("modify") as region:
             new_ids = _relabel(self.query, self.manager, node, new_label)
             self.option_pending = False
             report = StepReport(
@@ -404,13 +356,32 @@ class PragueEngine:
                 edge_id=new_ids[-1] if new_ids else None,
             )
             self._refresh_after_modification(report)
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(relabel=str(node), edges=len(new_ids))
-        observe("action.modify", report.processing_seconds)
+            region.set(
+                relabel=str(node), edges=len(new_ids),
+                status=report.status.value,
+            )
+        return self._finish(report, region)
+
+    @contextmanager
+    def _action(self, op: str) -> Iterator[Span]:
+        """One gesture's observation: the ``action.<op>`` region.
+
+        Refreshes the obs switches, records ``action.start``, scopes the
+        profiler and times the body; afterwards ``action.end`` carries the
+        region's attributes and its duration.  A gesture that raises records
+        no sample and no ``action.end``.
+        """
+        sync_env()
+        RECORDER.record("action.start", op=op)
+        with profile_action(op), timed(f"action.{op}") as region:
+            yield region
         RECORDER.record(
-            "action.end", op="modify", relabel=str(node), edges=len(new_ids),
-            status=report.status.value, seconds=report.processing_seconds,
+            "action.end", op=op, **region.attrs, seconds=region.seconds
         )
+
+    def _finish(self, report: StepReport, region: Span) -> StepReport:
+        """Stamp the region's duration on ``report`` and log the step."""
+        report.processing_seconds = region.seconds
         self.history.append(report)
         return report
 
@@ -444,11 +415,7 @@ class PragueEngine:
         """Action ``Run``: produce the final results (Alg 1, lines 16-23)."""
         if self.query.num_edges == 0:
             raise SessionError("cannot run an empty query")
-        sync_env()
-        start = time.perf_counter()
-        RECORDER.record("action.start", op="run")
-        with profile_action("run"), span("action.run") as sp:
-            count("engine.action.run")
+        with self._action("run") as region:
             self._ensure_current_candidates()
             report = RunReport()
             if not self.sim_flag:
@@ -485,18 +452,12 @@ class PragueEngine:
                 )
                 report.results = QueryResults(similar=matches)
                 report.candidate_count = self.similar_candidates.candidate_count
-            report.processing_seconds = time.perf_counter() - start
-            sp.set(
+            region.set(
                 similar=self.sim_flag,
                 candidates=report.candidate_count,
                 verification_free=report.verification_free,
             )
-        observe("action.run", report.processing_seconds)
-        RECORDER.record(
-            "action.end", op="run", candidates=report.candidate_count,
-            verification_free=report.verification_free,
-            seconds=report.processing_seconds,
-        )
+        report.processing_seconds = region.seconds
         return report
 
     # ------------------------------------------------------------------
@@ -507,11 +468,9 @@ class PragueEngine:
         return QueryStatus.FREQUENT
 
     def _refresh_rq(self, target) -> None:
-        rq_start = time.perf_counter()
-        with span("candidates.exact") as sp:
+        with timed("candidates.exact") as region:
             self.rq = exact_sub_candidates(target, self.indexes, self.db_ids)
-            sp.set(rq=len(self.rq))
-        observe("candidates.exact", time.perf_counter() - rq_start)
+            region.set(rq=len(self.rq))
         self._candidates_db_size = len(self.db)
 
     def _refresh_similar_candidates(self) -> None:

@@ -15,7 +15,6 @@ alternative sequence (Table III) and the step at which ``Rq`` empties.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,6 +23,7 @@ from repro.core.prague import PragueEngine, RunReport, StepReport
 from repro.core.results import QueryResults
 from repro.graph.labeled_graph import Graph, NodeId
 from repro.obs.srt import SrtLedger, build_ledger, events_from_reports
+from repro.obs.tracer import timed
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,6 @@ def traditional_srt(
     search: Callable[[Graph], object], query: Graph
 ) -> Tuple[object, float]:
     """SRT of a traditional (non-blended) system: full evaluation at Run."""
-    start = time.perf_counter()
-    results = search(query)
-    return results, time.perf_counter() - start
+    with timed("srt.traditional") as region:
+        results = search(query)
+    return results, region.seconds

@@ -16,7 +16,6 @@ answer is reported at its *minimum* distance, and returns the ranked list
 
 from __future__ import annotations
 
-import time
 from typing import FrozenSet, Iterator, List, Set
 
 from repro.core.candidates import bits_of, iter_ids
@@ -25,8 +24,7 @@ from repro.core.results import SimilarCandidates, SimilarityMatch
 from repro.core.verification import level_fragments_to_verify, sim_verify_scan
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
-from repro.obs.tracer import span
+from repro.obs.tracer import timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -50,10 +48,9 @@ def similar_sub_candidates(
     # Graphs appended after the index build are in no FSG list, so no
     # indexed fragment proves they match: they are never verification-free.
     appended = appended_bits(indexes, db_bits)
-    sim_start = time.perf_counter()
-    with span("candidates.similar", sigma=sigma) as outer:
+    with timed("candidates.similar", sigma=sigma) as outer:
         for level in range(top, bottom - 1, -1):
-            with span("candidates.level", level=level) as sp:
+            with timed("candidates.level", level=level) as sp:
                 # Word-parallel bucket accumulation: one OR per vertex, one
                 # AND-NOT for Algorithm 4's line 7, ids materialised once.
                 free_bits = 0
@@ -73,7 +70,6 @@ def similar_sub_candidates(
                     free=len(out.free[level]), ver=len(out.ver[level])
                 )
         outer.set(candidates=out.candidate_count)
-    observe("candidates.similar", time.perf_counter() - sim_start)
     return out
 
 
@@ -154,7 +150,7 @@ def similar_results_gen(
     verify_all_fragments: bool = False,
 ) -> List[SimilarityMatch]:
     """Algorithm 5: the materialised form of :func:`iter_similar_results`."""
-    with span("results.similar", sigma=sigma) as sp:
+    with timed("results.similar", sigma=sigma) as sp:
         matches = list(iter_similar_results(
             query, candidates, sigma, manager, db,
             verify_all_fragments=verify_all_fragments,

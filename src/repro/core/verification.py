@@ -29,12 +29,15 @@ as does every batch when shared memory is unavailable.  The worker count
 never affects *results*, only wall-clock: every path returns the same id
 sets.
 
-Telemetry is cross-process: every chunk runs under worker-local observation
-capture (:mod:`repro.obs.snapshot`) and returns its counter/histogram/
-recorder delta alongside its ids, which the parent merges back — so the
-per-candidate ``verify.tested`` counters and ``verify.candidate`` latency
-histograms report identical totals whether the batch ran serially or across
-any pool size (``tests/obs/test_worker_telemetry.py``).
+Each scan is one timed region (``verify.scan``, ``verify.sim``, inside
+``verify.exact`` for a Run), each chunk another (``verify.chunk``), and each
+VF2 test one ``verify.candidate`` / ``verify.sim.candidate`` histogram
+sample.  Telemetry is cross-process: every chunk runs under worker-local
+observation capture (:mod:`repro.obs.snapshot`) and returns its
+counter/histogram/recorder delta alongside its ids, which the parent merges
+back — so the per-candidate sample counts are identical whether the batch
+ran serially or across any pool size
+(``tests/obs/test_worker_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.obs.snapshot import (
     merge_worker_delta,
     worker_context,
 )
-from repro.obs.tracer import span
+from repro.obs.tracer import timed
 from repro.spig.manager import SpigManager
 from repro.spig.spig import SpigVertex
 
@@ -71,9 +74,10 @@ def _test_pattern(compiled: CompiledPattern, items) -> List[int]:
 
     The single shared inner loop of exact verification — the serial path,
     the pool workers and the pool fallback all run through it, so its
-    instrumentation (one ``verify.candidate`` histogram sample per VF2 test,
-    the ``verify.tested`` counter) is *path-invariant*: totals match across
-    every ``REPRO_WORKERS`` setting by construction.
+    instrumentation (one ``verify.candidate`` histogram sample per VF2 test)
+    is *path-invariant*: totals match across every ``REPRO_WORKERS`` setting
+    by construction.  Samples inside a ``verify.*`` region, not regions: an
+    inline clock pair costs half a :func:`~repro.obs.tracer.timed` handle.
     """
     out: List[int] = []
     for gid, graph in items:
@@ -82,17 +86,15 @@ def _test_pattern(compiled: CompiledPattern, items) -> List[int]:
         observe("verify.candidate", time.perf_counter() - test_start)
         if hit:
             out.append(gid)
-    count("verify.tested", len(items))
     return out
 
 
 def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
     """Ids among ``items`` whose graph contains *any* compiled fragment.
 
-    SimVerify's shared inner loop; one ``verify.sim.candidate`` sample and
-    one ``verify.sim.tested`` unit per candidate graph (not per fragment —
-    the ``any`` short-circuit makes fragment counts path-dependent, graph
-    counts are not).
+    SimVerify's shared inner loop; one ``verify.sim.candidate`` sample per
+    candidate graph (not per fragment — the ``any`` short-circuit makes
+    fragment counts path-dependent, graph counts are not).
     """
     out: List[int] = []
     for gid, graph in items:
@@ -101,7 +103,6 @@ def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
         observe("verify.sim.candidate", time.perf_counter() - test_start)
         if hit:
             out.append(gid)
-    count("verify.sim.tested", len(items))
     return out
 
 
@@ -140,12 +141,11 @@ def _obs_chunk(args) -> Tuple[List[int], dict]:
     """
     ctx, worker, payload = args
     begin_worker_capture(ctx)
-    chunk_start = time.perf_counter()
-    result = worker(payload)
-    seconds = time.perf_counter() - chunk_start
-    observe("verify.chunk", seconds)
+    with timed("verify.chunk") as region:
+        result = worker(payload)
     RECORDER.record(
-        "pool.chunk", pid=os.getpid(), hits=len(result), seconds=seconds,
+        "pool.chunk", pid=os.getpid(), hits=len(result),
+        seconds=region.seconds,
     )
     return result, collect_worker_delta()
 
@@ -221,7 +221,6 @@ def _run_batch(
     chunk_size = max(1, -(-len(ids) // (workers * 4)))  # ~4 chunks per worker
     payloads = [make_payload(chunk) for chunk in _chunks(ids, chunk_size)]
     count("verify.pool.runs")
-    count("verify.pool.chunks", len(payloads))
     RECORDER.record(
         "pool.run", chunks=len(payloads), workers=workers,
         candidates=len(ids), arena=arena.version,
@@ -270,9 +269,8 @@ def _run_batch(
         )
         parts = []
         for payload in payloads:
-            chunk_start = time.perf_counter()
-            parts.append(worker(payload))
-            observe("verify.chunk", time.perf_counter() - chunk_start)
+            with timed("verify.chunk"):
+                parts.append(worker(payload))
     out: List[int] = []
     for part in parts:  # chunks are ascending and disjoint: concat is sorted
         out.extend(part)
@@ -298,8 +296,7 @@ def verify_batch(
     if workers is None:
         workers = verification_workers()
     workers = max(1, min(workers, len(ids)))
-    start = time.perf_counter()
-    with span("verify.scan", candidates=len(ids), workers=workers):
+    with timed("verify.scan", candidates=len(ids), workers=workers):
         label_freq = db.label_frequencies()
         arena = _pool_arena(db, len(ids), workers)
         if arena is None:
@@ -312,7 +309,6 @@ def verify_batch(
                 lambda chunk: (pattern, _arena_ref(arena, chunk), label_freq),
                 ids, workers, arena,
             )
-    observe("verify.scan", time.perf_counter() - start)
     return out
 
 
@@ -334,8 +330,7 @@ def sim_verify_scan(
     if workers is None:
         workers = verification_workers()
     workers = max(1, min(workers, len(ids)))
-    start = time.perf_counter()
-    with span(
+    with timed(
         "verify.sim",
         candidates=len(ids), fragments=len(fragments), workers=workers,
     ):
@@ -356,7 +351,6 @@ def sim_verify_scan(
                 ),
                 ids, workers, arena,
             ))
-    observe("verify.sim", time.perf_counter() - start)
     return out
 
 
@@ -368,7 +362,7 @@ def exact_verification(
     workers: Optional[int] = None,
 ) -> List[int]:
     """Final exact results from ``Rq`` (sorted ids)."""
-    with span(
+    with timed(
         "verify.exact",
         candidates=len(candidates), free=verification_free,
     ):

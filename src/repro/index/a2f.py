@@ -23,7 +23,6 @@ canonical-code lookups of one-smaller subgraphs.
 from __future__ import annotations
 
 import pickle
-import time
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -32,9 +31,7 @@ from repro.graph.canonical import CanonicalCode
 from repro.mining.dif import connected_one_smaller_subgraphs
 from repro.mining.fragments import Fragment, FragmentCatalog
 from repro.graph.canonical import canonical_code
-from repro.obs.histogram import observe
 from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 
 
 class A2FVertex:
@@ -167,13 +164,8 @@ class A2FIndex:
     # ------------------------------------------------------------------
     def lookup(self, code: CanonicalCode) -> Optional[int]:
         """``a2fId`` of the fragment with this canonical code, if frequent."""
-        start = time.perf_counter()
         a2f_id = self._by_code.get(code)
-        observe("index.a2f.lookup", time.perf_counter() - start)
         count("a2f.lookup.hit" if a2f_id is not None else "a2f.lookup.miss")
-        RECORDER.transition(
-            "a2f.lookup", "hit" if a2f_id is not None else "miss"
-        )
         return a2f_id
 
     def __contains__(self, code: CanonicalCode) -> bool:

@@ -8,14 +8,11 @@ are the strongest pruners — probing one empties ``Rq`` immediately).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.graph.canonical import CanonicalCode
 from repro.mining.fragments import FragmentCatalog
-from repro.obs.histogram import observe
 from repro.obs.metrics import count
-from repro.obs.recorder import RECORDER
 
 
 class A2IEntry:
@@ -48,13 +45,8 @@ class A2IIndex:
 
     def lookup(self, code: CanonicalCode) -> Optional[int]:
         """``a2iId`` of the DIF with this canonical code, if indexed."""
-        start = time.perf_counter()
         a2i_id = self._by_code.get(code)
-        observe("index.a2i.lookup", time.perf_counter() - start)
         count("a2i.lookup.hit" if a2i_id is not None else "a2i.lookup.miss")
-        RECORDER.transition(
-            "a2i.lookup", "hit" if a2i_id is not None else "miss"
-        )
         return a2i_id
 
     def __contains__(self, code: CanonicalCode) -> bool:

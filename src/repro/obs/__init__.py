@@ -5,15 +5,17 @@ GUI latency, and what does not hide becomes the SRT at *Run*.  This package
 is the measurement substrate for that budget — it answers *where each
 millisecond of a formulation session goes* without changing any answer:
 
-* **spans** (:mod:`repro.obs.tracer`) — hierarchical timed regions.  The
-  engine opens one ``action.*`` span per GUI gesture with children for SPIG
-  construction, candidate algebra and verification;
+* **timed regions** (:mod:`repro.obs.tracer`) — the one timing primitive.
+  ``timed(site)`` reads the clock twice, records the interval in histogram
+  ``site`` and, while tracing is on, is a span of the tree: one
+  ``action.*`` region per GUI gesture with children for SPIG construction,
+  candidate algebra and verification;
 * **metrics** (:mod:`repro.obs.metrics`) — counters/gauges for cache
   hits/misses (canonical LRU, A2F/A2I posting lists) and verification-pool
   task counts and fallbacks;
 * **histograms** (:mod:`repro.obs.histogram`) — always-on latency
-  distributions (log-scale buckets, exact-rank p50/p90/p99) per engine
-  action and per instrumented site, alive even with tracing off;
+  distributions (log-scale buckets, exact-rank p50/p90/p99), one per timed
+  site, alive even with tracing off;
 * **flight recorder** (:mod:`repro.obs.recorder`) — an always-on bounded
   ring of structured events (action boundaries, cache transitions, pool
   runs/fallbacks, exceptions), dumpable as a post-mortem bundle;
@@ -55,13 +57,15 @@ needs no environment variable:
 
 >>> from repro import obs
 >>> with obs.trace() as tracer:
-...     with obs.span("session", queries=1):
-...         with obs.span("action.new"):
-...             obs.count("engine.action.new")
+...     with obs.timed("session", queries=1):
+...         with obs.timed("action.new"):
+...             obs.count("a2f.lookup.hit")
 >>> print(obs.render_span_tree(tracer.roots).split()[0])
 session
 >>> obs.METRICS.snapshot()["counters"]
-{'engine.action.new': 1}
+{'a2f.lookup.hit': 1}
+>>> obs.HISTOGRAMS["action.new"].count
+1
 
 Instrumented modules never *require* tracing: with the tracer disabled the
 engine behaves byte-for-byte identically (pinned by
@@ -100,7 +104,6 @@ from repro.obs.profiler import (
     Profiler,
     folded_lines,
     profile_action,
-    profile_block,
     profile_summary,
     render_flamegraph_html,
     top_frames,
@@ -138,9 +141,8 @@ from repro.obs.tracer import (
     TRACER,
     Span,
     Tracer,
-    add_attrs,
-    span,
     sync_env,
+    timed,
     trace,
 )
 
@@ -148,8 +150,7 @@ __all__ = [
     "TRACER",
     "Tracer",
     "Span",
-    "span",
-    "add_attrs",
+    "timed",
     "sync_env",
     "trace",
     "METRICS",
@@ -170,7 +171,6 @@ __all__ = [
     "PROFILER",
     "Profiler",
     "profile_action",
-    "profile_block",
     "profile_summary",
     "folded_lines",
     "top_frames",

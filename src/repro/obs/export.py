@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.obs.recorder import render_event
 from repro.obs.srt import SrtLedger
 from repro.obs.tracer import Span
 
@@ -95,53 +96,46 @@ def _fmt_attrs(attrs: Dict[str, Any]) -> str:
 
 
 def render_span_tree(
-    roots: Sequence[Span],
+    roots: Sequence[Any],
     min_seconds: float = 0.0,
 ) -> str:
     """The span forest as an indented tree with per-span durations.
 
+    ``roots`` are live :class:`~repro.obs.tracer.Span`\\ s or their
+    ``to_dict()`` form (what trace reports and request bundles carry).
     ``min_seconds`` prunes spans shorter than the threshold (their children
     are pruned with them) — useful on very chatty traces.
     """
-    lines: List[str] = []
-    width = 2 + max(
-        (depth * 3 + len(span.name)
-         for root in roots for span, depth in root.walk()),
-        default=0,
-    )
+    return "\n".join(_span_lines(roots, min_seconds))
+
+
+def _span_lines(
+    roots: Sequence[Any], min_seconds: float = 0.0, hide: Sequence[str] = (),
+) -> List[str]:
+    """``├─``/``└─`` tree lines for dict-form spans (live ones converted)."""
+    rows: List[tuple] = []  # (tree label, dict-form span)
+
+    def walk(node: Dict[str, Any], label: str, prefix: str) -> None:
+        rows.append((label + str(node.get("name", "?")), node))
+        kept = [c for c in node.get("children") or ()
+                if c.get("seconds", 0.0) >= min_seconds]
+        for i, child in enumerate(kept):
+            last = i == len(kept) - 1
+            walk(child, prefix + ("└─ " if last else "├─ "),
+                 prefix + ("   " if last else "│  "))
+
     for root in roots:
-        _render_span(root, "", True, True, width, min_seconds, lines)
-    return "\n".join(lines)
-
-
-def _render_span(
-    span: Span,
-    prefix: str,
-    is_last: bool,
-    is_root: bool,
-    width: int,
-    min_seconds: float,
-    lines: List[str],
-) -> None:
-    if span.duration_seconds < min_seconds:
-        return
-    if is_root:
-        label = span.name
-        child_prefix = ""
-    else:
-        connector = "└─ " if is_last else "├─ "
-        label = prefix + connector + span.name
-        child_prefix = prefix + ("   " if is_last else "│  ")
-    lines.append(
-        f"{label:<{width}}{_fmt_ms(span.duration_seconds)}"
-        f"{_fmt_attrs(span.attrs)}"
-    )
-    kept = [c for c in span.children if c.duration_seconds >= min_seconds]
-    for i, child in enumerate(kept):
-        _render_span(
-            child, child_prefix, i == len(kept) - 1, False, width,
-            min_seconds, lines,
-        )
+        node = root if isinstance(root, dict) else root.to_dict()
+        if node.get("seconds", 0.0) >= min_seconds:
+            walk(node, "", "")
+    width = 2 + max((len(label) for label, _ in rows), default=0)
+    lines = []
+    for label, node in rows:
+        attrs = {k: v for k, v in (node.get("attrs") or {}).items()
+                 if k not in hide}
+        lines.append(f"{label:<{width}}{_fmt_ms(node.get('seconds', 0.0))}"
+                     f"{_fmt_attrs(attrs)}")
+    return lines
 
 
 def render_metrics(snapshot: Dict[str, Dict[str, Any]]) -> str:
@@ -390,11 +384,9 @@ def render_top(
     runs = counters.get("verify.pool.runs", 0)
     chunk_hist = histograms.get("verify.chunk", {})
     if runs or chunk_hist:
-        chunks = counters.get("verify.pool.chunks", 0) or \
-            chunk_hist.get("count", 0)
         lines += ["", "verification pool:"]
         lines.append(
-            f"  runs {runs}  chunks {chunks}  "
+            f"  runs {runs}  chunks {chunk_hist.get('count', 0)}  "
             f"fallbacks {counters.get('verify.pool.fallbacks', 0)}  "
             f"serial scans {counters.get('verify.serial', 0)}"
         )
@@ -424,16 +416,7 @@ def render_top(
             )
     if events:
         lines += ["", f"recent events (last {len(events)}):"]
-        for event in events:
-            skip = {"schema", "kind", "event", "seq", "t_s", "traceback"}
-            fields = " ".join(
-                f"{k}={event[k]}" for k in event if k not in skip
-            )
-            lines.append(
-                f"  #{event.get('seq', '?'):>5}  "
-                f"{str(event.get('event', event.get('kind', '?'))):<18}"
-                f"{fields}"
-            )
+        lines += [render_event(event, seq_width=5) for event in events]
     return "\n".join(lines)
 
 
@@ -462,8 +445,9 @@ def render_request_bundle(data: Dict[str, Any]) -> str:
     spans = data.get("spans") or []
     if spans:
         lines += ["", f"correlated spans ({len(spans)} roots):"]
-        for root in spans:
-            _render_span_dict(root, 0, lines)
+        lines += [
+            "  " + line for line in _span_lines(spans, hide=("request_id",))
+        ]
     elif "spans" not in data:
         lines += ["", "correlated spans: n/a (not reported by this server)"]
     events = data.get("events") or []
@@ -472,16 +456,9 @@ def render_request_bundle(data: Dict[str, Any]) -> str:
     if events:
         lines += ["", f"correlated events ({len(events)}):"]
         t0 = events[0].get("t_s", 0.0)
-        skip = {"seq", "t_s", "kind", "traceback", "request_id"}
-        for event in events:
-            fields = " ".join(
-                f"{k}={event[k]}" for k in event if k not in skip
-            )
-            offset_ms = 1000 * (event.get("t_s", t0) - t0)
-            lines.append(
-                f"  +{offset_ms:9.2f} ms  "
-                f"{str(event.get('kind', '?')):<18}{fields}"
-            )
+        lines += [
+            render_event(event, t0, hide=("request_id",)) for event in events
+        ]
     profile = data.get("profile") or {}
     if profile:
         from repro.obs.profiler import top_frames
@@ -494,23 +471,6 @@ def render_request_bundle(data: Dict[str, Any]) -> str:
         lines.append("  (nothing correlated — recorder/tracing off, "
                      "or the id aged out)")
     return "\n".join(lines)
-
-
-def _render_span_dict(
-    node: Dict[str, Any], depth: int, lines: List[str]
-) -> None:
-    """One dict-form span (plus children) as indented request-bundle lines."""
-    attrs = {
-        k: v for k, v in (node.get("attrs") or {}).items()
-        if k != "request_id"
-    }
-    label = "  " * depth + str(node.get("name", "?"))
-    lines.append(
-        f"  {label:<{max(len(label) + 2, 32)}}"
-        f"{_fmt_ms(node.get('seconds', 0.0))}{_fmt_attrs(attrs)}"
-    )
-    for child in node.get("children") or []:
-        _render_span_dict(child, depth + 1, lines)
 
 
 def diff_trace_reports(

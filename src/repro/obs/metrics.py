@@ -1,11 +1,13 @@
 """Counters and gauges — the metrics half of ``repro.obs``.
 
 A *counter* is a monotonically increasing integer (cache hits, pool
-fallbacks, path-taken tallies); a *gauge* is a last-write-wins value
-(candidate-set sizes, LRU occupancy).  Both live in the process-wide
-:data:`METRICS` registry and share the tracing switch: :func:`count` and
-:func:`gauge` record only while :data:`repro.obs.TRACER` is enabled, so the
-disabled cost at an instrumentation site is one attribute load and a branch.
+fallbacks, path-taken tallies) — never a count a histogram already keeps:
+how often a timed site ran is its histogram's ``count``.  A *gauge* is a
+last-write-wins value (candidate-set sizes, LRU occupancy).  Both live in
+the process-wide :data:`METRICS` registry and share the tracing switch:
+:func:`count` and :func:`gauge` record only while
+:data:`repro.obs.TRACER` is enabled, so the disabled cost at an
+instrumentation site is one attribute load and a branch.
 
 Names are dotted, lowercase, and stable — they are part of the observable
 API (``docs/PERFORMANCE.md`` documents the vocabulary):
@@ -74,11 +76,11 @@ class Metrics:
         parent's value.
 
         >>> parent, worker = Metrics(), Metrics()
-        >>> parent.inc("verify.tested", 3)
-        >>> worker.inc("verify.tested", 5)
+        >>> parent.inc("verify.serial", 3)
+        >>> worker.inc("verify.serial", 5)
         >>> worker.set_gauge("rq.size", 9)
         >>> parent.merge(worker.snapshot(), source="w1")
-        >>> parent.counter("verify.tested")
+        >>> parent.counter("verify.serial")
         8
         >>> parent.snapshot()["gauges"]
         {'rq.size.w1': 9}

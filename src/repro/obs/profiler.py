@@ -17,8 +17,8 @@ sampler (seeded through the :mod:`repro.obs.snapshot` worker-delta
 protocol) and their samples merge home tagged with the worker's name, so
 pooled VF2 chunks appear in the parent's profile under the same request id.
 
-The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): actions and
-arena/index builds are bracketed with ``tracemalloc`` snapshots and the
+The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): actions and the
+arena build are bracketed with ``tracemalloc`` snapshots and the
 top-N allocating lines (by size delta) are kept per site.
 
 Everything here is pure stdlib.  The off-path cost is one attribute check
@@ -401,11 +401,13 @@ _NOOP = _NoopScope()
 
 
 def profile_action(name: str) -> Any:
-    """Scope an engine action for sample attribution and memory brackets.
+    """Scope an action (or a hot block such as ``arena.build``) for sample
+    attribution and, with the memory tier on, a ``tracemalloc`` bracket
+    keyed ``action.<name>``.
 
-    Composes with the tracer's span on one line::
+    Composes with the action's timed region on one line::
 
-        with profile_action("new"), span("action.new") as sp:
+        with profile_action("new"), timed("action.new") as region:
             ...
 
     Costs two attribute loads and a branch when the profiling plane is
@@ -414,17 +416,6 @@ def profile_action(name: str) -> Any:
     if not PROFILER.enabled and not PROFILER.mem_topn:
         return _NOOP
     return _ActionScope(name)
-
-
-def profile_block(site: str) -> Any:
-    """Memory-bracket (and sample-scope) a non-action hot block.
-
-    Used around arena and index builds: with the memory tier on, the top-N
-    allocating lines of the build land in the profile keyed by ``site``.
-    """
-    if not PROFILER.enabled and not PROFILER.mem_topn:
-        return _NOOP
-    return _ActionScope(site)
 
 
 # ----------------------------------------------------------------------

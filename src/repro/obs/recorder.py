@@ -23,9 +23,9 @@ harness embeds one in every divergence report, a pool fallback writes one to
 >>> recorder = FlightRecorder(size=4)
 >>> recorder.force(True)
 >>> recorder.record("action.start", op="new")
->>> recorder.transition("a2f.lookup", "hit")
->>> recorder.transition("a2f.lookup", "hit")   # same streak: not recorded
->>> recorder.transition("a2f.lookup", "miss")  # flip: recorded
+>>> recorder.transition("canonical.cache", "lru_hit")
+>>> recorder.transition("canonical.cache", "lru_hit")  # same streak: skipped
+>>> recorder.transition("canonical.cache", "miss")     # flip: recorded
 >>> [e["kind"] for e in recorder.snapshot()]
 ['action.start', 'transition', 'transition']
 """
@@ -38,7 +38,7 @@ import time
 import traceback as _traceback
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.config import recorder_enabled, recorder_size
 from repro.obs.exporter import EXPORTER as _EXPORTER
@@ -256,6 +256,28 @@ class FlightRecorder:
 RECORDER = FlightRecorder()
 
 
+#: Event keys a timeline line shows in its fixed columns, never as fields.
+_EVENT_COLUMNS = frozenset(
+    {"schema", "kind", "event", "seq", "t_s", "traceback"}
+)
+
+
+def render_event(event: Dict[str, Any], t0: Optional[float] = None,
+                 seq_width: int = 0, hide: Iterable[str] = ()) -> str:
+    """One event as a timeline line: ``#seq`` (given ``seq_width``), ms
+    since ``t0`` (given one), the kind (``event`` in exported JSONL), then
+    every other field not in ``hide`` as ``key=value``."""
+    skip = _EVENT_COLUMNS.union(hide)
+    fields = " ".join(f"{k}={v}" for k, v in event.items() if k not in skip)
+    line = "  "
+    if seq_width:
+        line += f"#{event.get('seq', '?'):>{seq_width}}  "
+    if t0 is not None:
+        line += f"+{1000 * (event.get('t_s', t0) - t0):9.2f} ms  "
+    kind = event.get("event", event.get("kind", "?"))
+    return f"{line}{str(kind):<18}{fields}"
+
+
 def render_postmortem(bundle: Dict[str, Any]) -> str:
     """A post-mortem bundle as a human-readable timeline.
 
@@ -276,15 +298,7 @@ def render_postmortem(bundle: Dict[str, Any]) -> str:
     t0 = events[0].get("t_s", 0.0)
     width = max(len(str(e.get("seq", ""))) for e in events)
     for event in events:
-        skip = {"seq", "t_s", "kind", "traceback"}
-        fields = " ".join(
-            f"{k}={event[k]}" for k in event if k not in skip
-        )
-        offset_ms = 1000 * (event.get("t_s", t0) - t0)
-        lines.append(
-            f"  #{event.get('seq', 0):>{width}}  +{offset_ms:9.2f} ms  "
-            f"{event.get('kind', '?'):<18}{fields}"
-        )
+        lines.append(render_event(event, t0, seq_width=width))
         if "traceback" in event:
             for tb_line in str(event["traceback"]).rstrip().splitlines():
                 lines.append(f"      | {tb_line}")

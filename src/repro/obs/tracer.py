@@ -1,66 +1,97 @@
-"""Hierarchical spans with monotonic timings — the tracing half of ``repro.obs``.
+"""Timed regions — the one timing primitive of ``repro.obs``.
 
-A *span* is one named, timed region of work.  Spans nest: the span opened
-while another is active becomes its child, so a traced formulation session
-yields a tree — ``session`` at the root, one ``action.*`` span per GUI
-gesture, and inside each action the work it triggered (``spig.construct``,
+``timed(site, **attrs)`` is a context manager around one region of work.  It
+reads the clock once on entry and once on exit, records that interval as one
+sample of histogram ``site`` (always on, like every histogram), and — only
+while tracing is on — links the region into the span tree, so the span
+starts and ends on those same two readings.  Every other record of the
+region (a report's ``processing_seconds``, a ledger row, a recorder event)
+reads the handle's ``.seconds``, so a region has exactly one duration.
+
+Regions nest: one entered while another is open on the same thread becomes
+its child, so a traced formulation session yields a tree — one
+``action.*`` root per GUI gesture (``service.request`` under the HTTP
+service) and inside it the work it triggered (``spig.construct``,
 ``candidates.exact``, ``verify.scan``, …).  Timings come from
-``time.perf_counter`` (monotonic), never from wall-clock dates.
+``time.perf_counter`` (monotonic), never from wall-clock dates.  A region
+that raises closes its span but records no sample.
 
-The module-level :data:`TRACER` is process-wide and **off by default**: when
-disabled, :func:`span` returns a shared no-op context manager and the only
-cost at an instrumentation site is one attribute load and a branch (the
-bound is enforced by ``benchmarks/bench_obs_overhead.py``).  ``REPRO_TRACE=1``
-enables it (see :func:`repro.config.trace_enabled`); the engine calls
-:func:`sync_env` once per GUI action, so the knob is live.  For programmatic
-use — tests, the ``python -m repro trace`` CLI — :func:`trace` force-enables
-tracing for a block regardless of the environment:
+The module-level :data:`TRACER` is process-wide and **off by default**.
+``REPRO_TRACE=1`` enables it (see :func:`repro.config.trace_enabled`); the
+engine calls :func:`sync_env` once per GUI action, so the knob is live.
+For programmatic use — tests, the ``python -m repro trace`` CLI —
+:func:`trace` force-enables tracing for a block regardless of the
+environment:
 
->>> from repro.obs import span, trace
+>>> from repro.obs import timed, trace
 >>> with trace() as tracer:
-...     with span("outer", kind="demo"):
-...         with span("inner"):
-...             pass
+...     with timed("outer", kind="demo"):
+...         with timed("inner") as region:
+...             region.set(hits=2)
 >>> [s.name for s in tracer.roots]
 ['outer']
->>> [child.name for child in tracer.roots[0].children]
-['inner']
->>> tracer.roots[0].attrs
-{'kind': 'demo'}
+>>> [(child.name, child.attrs) for child in tracer.roots[0].children]
+[('inner', {'hits': 2})]
+>>> region.seconds >= 0.0
+True
 
-The tracer is per-process and not thread-safe (the engine is single-threaded;
-verification workers are separate *processes* and do not trace).
+Open spans are tracked per thread, so concurrent service requests each grow
+their own tree; verification workers are separate *processes* whose
+histogram samples merge home (:mod:`repro.obs.snapshot`).
 """
 
 from __future__ import annotations
 
-import time
+import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from time import perf_counter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import trace_enabled
 from repro.obs.exporter import EXPORTER as _EXPORTER
+from repro.obs.histogram import observe as _observe, reset_histograms
 from repro.obs.profiler import PROFILER as _PROFILER
 from repro.obs.recorder import RECORDER as _RECORDER
 from repro.obs.requests import current_request_id as _current_request_id
 
 
 class Span:
-    """One completed (or still-open) timed region."""
+    """One timed region: the handle :func:`timed` returns and, while
+    tracing is on, a node of the span tree."""
 
-    __slots__ = ("name", "attrs", "start_s", "end_s", "children")
+    __slots__ = ("name", "attrs", "start_s", "end_s", "children", "_traced")
 
     def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
         self.attrs = attrs
-        self.start_s = time.perf_counter()
+        self.start_s = 0.0
         self.end_s: Optional[float] = None
-        self.children: List["Span"] = []
+        self.children: Sequence["Span"] = ()  # a list once traced
+        self._traced = False
+
+    def __enter__(self) -> "Span":
+        if TRACER.enabled:
+            TRACER._open(self)
+            self._traced = True
+        self.start_s = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.end_s = end = perf_counter()
+        if exc_type is None:
+            _observe(self.name, end - self.start_s)
+        if self._traced:
+            TRACER._close(self)
+        return False
+
+    def set(self, **attrs: Any) -> None:
+        """Attach/overwrite attributes (usable after the region closed)."""
+        self.attrs.update(attrs)
 
     @property
-    def duration_seconds(self) -> float:
-        """Elapsed time; for a still-open span, elapsed so far."""
-        end = self.end_s if self.end_s is not None else time.perf_counter()
+    def seconds(self) -> float:
+        """The region's duration; for a still-open region, elapsed so far."""
+        end = self.end_s if self.end_s is not None else perf_counter()
         return end - self.start_s
 
     def walk(self, depth: int = 0) -> Iterator[Tuple["Span", int]]:
@@ -73,64 +104,28 @@ class Span:
         """JSON-ready form (seconds, attrs, recursive children)."""
         return {
             "name": self.name,
-            "seconds": self.duration_seconds,
+            "seconds": self.seconds,
             "attrs": dict(self.attrs),
             "children": [c.to_dict() for c in self.children],
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Span({self.name!r}, {1000 * self.duration_seconds:.2f} ms)"
 
+def timed(site: str, **attrs: Any) -> Span:
+    """Time one region: ``with timed("spig.construct", edge=3) as r: ...``.
 
-class _SpanHandle:
-    """Context manager for one live span (returned by :func:`span`)."""
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
-        self._tracer = tracer
-        self.span: Optional[Span] = None
-        # Created eagerly so ``span(...)`` without ``with`` still times from
-        # the call site; __enter__ only registers it in the tree.
-        self.span = Span(name, attrs)
-
-    def __enter__(self) -> "_SpanHandle":
-        self._tracer._open(self.span)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._tracer._close(self.span)
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        """Attach/overwrite attributes on this span (usable after exit)."""
-        self.span.attrs.update(attrs)
-
-
-class _NoopHandle:
-    """The shared do-nothing handle returned while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopHandle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-
-_NOOP = _NoopHandle()
+    The interval feeds histogram ``site``; while tracing is on the region
+    is also a span.  ``r.set(**attrs)`` adds attributes and, after the
+    block, ``r.seconds`` is the recorded duration.
+    """
+    return Span(site, attrs)
 
 
 class Tracer:
     """Process-wide span collector.
 
-    ``enabled`` is a plain bool so hot paths pay one attribute load to skip
-    instrumentation.  It follows ``REPRO_TRACE`` (via :func:`sync_env`)
-    unless an override is installed by :meth:`force` / :func:`trace`.
+    ``enabled`` is a plain bool so a region pays one attribute load to skip
+    the tree.  It follows ``REPRO_TRACE`` (via :func:`sync_env`) unless an
+    override is installed by :meth:`force` / :func:`trace`.
     """
 
     #: Upper bound on retained root spans — a leak guard for long-lived
@@ -140,8 +135,16 @@ class Tracer:
     def __init__(self) -> None:
         self.enabled: bool = trace_enabled()
         self._override: Optional[bool] = None
-        self._stack: List[Span] = []
+        self._local = threading.local()
         self.roots: List[Span] = []
+
+    @property
+    def _stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     # ------------------------------------------------------------------
     # switching
@@ -158,31 +161,34 @@ class Tracer:
         self.enabled = trace_enabled() if enabled is None else enabled
 
     def reset(self) -> None:
-        """Drop all collected spans (including any left open)."""
+        """Drop all collected spans (and this thread's open ones)."""
         self._stack.clear()
         self.roots.clear()
 
     def unwind(self, depth: int) -> None:
         """Close and pop every open span above ``depth`` (exception cleanup).
 
-        When a traced block raises past a span that was entered but never
+        When a traced block raises past a region that was entered but never
         exited (a hand-entered handle, an abandoned generator), the open
         span would otherwise survive on the stack and silently reparent all
         later spans.  :func:`trace` calls this on the way out so the stack
         is always restored to its entry depth.
         """
-        now = time.perf_counter()
-        while len(self._stack) > depth:
-            abandoned = self._stack.pop()
+        stack = self._stack
+        now = perf_counter()
+        while len(stack) > depth:
+            abandoned = stack.pop()
             if abandoned.end_s is None:
                 abandoned.end_s = now
 
     # ------------------------------------------------------------------
-    # span lifecycle (called by _SpanHandle)
+    # span lifecycle (called by Span)
     # ------------------------------------------------------------------
     def _open(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
+        span.children = []
+        stack = self._stack
+        if stack:
+            stack[-1].children.append(span)
         else:
             # Root spans carry the HTTP correlation id (children inherit by
             # tree position); ``/v1/requests/<id>`` selects roots by it.
@@ -192,55 +198,24 @@ class Tracer:
             self.roots.append(span)
             if len(self.roots) > self.MAX_ROOTS:
                 del self.roots[: len(self.roots) - self.MAX_ROOTS]
-        self._stack.append(span)
+        stack.append(span)
 
     def _close(self, span: Span) -> None:
-        span.end_s = time.perf_counter()
         # Tolerate out-of-order closes (e.g. a generator finalised late):
         # pop up to and including this span if present, else ignore.
-        if any(entry is span for entry in self._stack):
-            while self._stack:
-                if self._stack.pop() is span:
+        stack = self._stack
+        if any(entry is span for entry in stack):
+            while stack:
+                if stack.pop() is span:
                     break
-
-    def _iter_all(self) -> Iterator[Tuple[Span, int]]:
-        for root in self.roots:
-            yield from root.walk()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
 
     def span_count(self) -> int:
         """Total number of recorded spans across all root trees."""
-        return sum(1 for _ in self._iter_all())
+        return sum(1 for root in self.roots for _ in root.walk())
 
 
-#: The process-wide tracer every instrumentation site consults.
+#: The process-wide tracer every timed region consults.
 TRACER = Tracer()
-
-
-def span(name: str, **attrs: Any):
-    """Open a traced region: ``with span("spig.construct", edge=3): ...``.
-
-    When tracing is disabled this returns a shared no-op handle — the call
-    itself is the entire overhead.
-    """
-    if not TRACER.enabled:
-        return _NOOP
-    return _SpanHandle(TRACER, name, attrs)
-
-
-def add_attrs(**attrs: Any) -> None:
-    """Attach attributes to the innermost open span (no-op when disabled)."""
-    if not TRACER.enabled:
-        return
-    current = TRACER.current()
-    if current is not None:
-        current.attrs.update(attrs)
 
 
 def sync_env() -> bool:
@@ -272,15 +247,7 @@ def trace(reset: bool = True):
     popped (``Tracer.unwind``), so a failing traced block can never corrupt
     the next one.  With ``reset=True`` (the default) the span forest, the
     metrics registry and the latency histograms all start empty.
-
-    >>> from repro.obs import span, trace
-    >>> with trace() as tracer:
-    ...     with span("step"):
-    ...         pass
-    >>> tracer.span_count()
-    1
     """
-    from repro.obs.histogram import reset_histograms
     from repro.obs.metrics import METRICS
 
     previous = TRACER._override

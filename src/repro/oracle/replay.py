@@ -43,10 +43,11 @@ class OracleConfig:
         return {
             "REPRO_CANONICAL_CACHE": "8192" if self.canonical_cache else "0",
             "REPRO_WORKERS": str(self.workers),
-            # The oracle corpora are small; pin the pool floor down so the
-            # workers>1 cells actually exercise the pooled path instead of
-            # silently degenerating to the serial one.
-            "REPRO_POOL_MIN_CANDIDATES": "16",
+            # Fuzzed sessions verify a handful of candidates per batch
+            # (3-13 on the oracle corpora); a floor of 1 makes every batch
+            # of a workers>1 cell take the pooled path instead of silently
+            # degenerating to the serial one.
+            "REPRO_POOL_MIN_CANDIDATES": "1",
         }
 
 

@@ -35,7 +35,6 @@ import os
 import re
 import signal
 import threading
-import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -46,7 +45,7 @@ from repro.obs.recorder import RECORDER
 from repro.obs.requests import REQUEST_LOG, request_scope
 from repro.obs.profiler import PROFILER, profile_summary
 from repro.obs.slo import SLO, record_request
-from repro.obs.tracer import TRACER
+from repro.obs.tracer import TRACER, timed
 from repro.service.protocol import (
     REQUEST_ID_HEADER,
     BodyTooLargeError,
@@ -192,28 +191,31 @@ class ServiceHandler(BaseHTTPRequestHandler):
         )
         self._status = 0
         self._session_id: Optional[str] = None
-        start = time.perf_counter()
         with request_scope(self._request_id):
-            try:
-                handled = self._route(method, self.path.rstrip("/") or "/")
-                if not handled:
-                    self._send(404, error_response(
-                        ValueError(f"no route {method} {self.path}")
-                    ))
-            except Exception as exc:  # one mapping for every route
-                if isinstance(exc, BodyTooLargeError):
-                    # The oversized body was never read; the connection's
-                    # framing is shot, so don't reuse it.
-                    self.close_connection = True
-                self._send(status_for(exc), error_response(exc))
-            duration = time.perf_counter() - start
+            with timed("service.request", method=method,
+                       path=self.path) as region:
+                try:
+                    handled = self._route(
+                        method, self.path.rstrip("/") or "/"
+                    )
+                    if not handled:
+                        self._send(404, error_response(
+                            ValueError(f"no route {method} {self.path}")
+                        ))
+                except Exception as exc:  # one mapping for every route
+                    if isinstance(exc, BodyTooLargeError):
+                        # The oversized body was never read; the
+                        # connection's framing is shot, so don't reuse it.
+                        self.close_connection = True
+                    self._send(status_for(exc), error_response(exc))
+            region.set(status=self._status)
             record_request(self._status)
             REQUEST_LOG.record(
                 request_id=self._request_id,
                 method=method,
                 path=self.path,
                 status=self._status,
-                duration_s=duration,
+                duration_s=region.seconds,
                 session_id=self._session_id,
             )
             RECORDER.record(
@@ -221,7 +223,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 method=method,
                 path=self.path,
                 status=self._status,
-                duration_ms=round(1000.0 * duration, 3),
+                duration_ms=round(1000.0 * region.seconds, 3),
                 session_id=self._session_id,
             )
 

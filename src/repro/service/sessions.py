@@ -35,10 +35,10 @@ from repro.core.plane import SharedPlane
 from repro.core.prague import RunReport
 from repro.core.undo import UndoableEngine
 from repro.exceptions import ReproError
-from repro.obs.histogram import observe
 from repro.obs.metrics import count, gauge
 from repro.obs.recorder import RECORDER
 from repro.obs.slo import record_action_latency, record_admission
+from repro.obs.tracer import timed
 from repro.oracle.trace import ACTION_OPS, TraceAction, _tuplify, apply_action
 
 #: Per-session action latencies retained for ``/v1/sessions/<id>/obs``
@@ -204,24 +204,21 @@ class SessionManager:
             )
         session = self.get(sid)
         with session.lock:
-            start = time.perf_counter()
-            if op == "undo":
-                result = session.engine.undo()
-            elif op == "redo":
-                result = session.engine.redo()
-            else:
-                result = apply_action(
-                    session.engine, TraceAction(op, _tuplify(list(args)))
-                )
-            elapsed = time.perf_counter() - start
+            with timed("service.action", op=op) as region:
+                if op == "undo":
+                    result = session.engine.undo()
+                elif op == "redo":
+                    result = session.engine.redo()
+                else:
+                    result = apply_action(
+                        session.engine, TraceAction(op, _tuplify(list(args)))
+                    )
             session.last_used = time.monotonic()
             session.action_count += 1
-            session.latencies.append(elapsed)
+            session.latencies.append(region.seconds)
             if isinstance(result, RunReport):
                 session.last_run_seconds = result.processing_seconds
-            count("service.actions")
-            observe("service.action", elapsed)
-            record_action_latency(elapsed)
+            record_action_latency(region.seconds)
         return session, result
 
     # -- introspection -------------------------------------------------

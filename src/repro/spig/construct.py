@@ -23,15 +23,13 @@ proper subgraph of ``g`` extends, inside ``g``, to a connected
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, FrozenSet, Set
 
 from repro.exceptions import SpigError
 from repro.graph.canonical import canonical_code
 from repro.index.builder import ActionAwareIndexes
-from repro.obs.histogram import observe
 from repro.obs.metrics import count
-from repro.obs.tracer import span
+from repro.obs.tracer import timed
 from repro.query_graph import VisualQuery
 from repro.spig.spig import SPIG, FragmentList, SpigVertex
 
@@ -102,8 +100,7 @@ def build_spig(
     spig = SPIG(new_edge_id, dedup=dedup)
     level_sets: Set[FrozenSet[int]] = {frozenset({new_edge_id})}
     level = 1
-    build_start = time.perf_counter()
-    with span("spig.construct", edge=new_edge_id) as sp:
+    with timed("spig.construct", edge=new_edge_id) as region:
         while level_sets:
             # Deterministic order keeps vertex positions stable across runs.
             for edge_set in sorted(level_sets, key=sorted):
@@ -138,6 +135,6 @@ def build_spig(
                     next_sets.add(edge_set | {eid})
             level_sets = next_sets
             level += 1
-        sp.set(vertices=spig.num_vertices, levels=level - 1)
-    observe("spig.construct", time.perf_counter() - build_start)
+        region.set(vertices=spig.num_vertices, levels=level - 1)
+    spig.construct_seconds = region.seconds
     return spig

@@ -136,6 +136,8 @@ class SPIG:
         self._levels: Dict[int, List[SpigVertex]] = {}
         self._by_code: Dict[Tuple[int, CanonicalCode], SpigVertex] = {}
         self._positions = 0
+        #: Duration of the ``spig.construct`` region that built this SPIG.
+        self.construct_seconds = 0.0
 
     # ------------------------------------------------------------------
     def get_or_create(

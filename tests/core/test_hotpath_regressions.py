@@ -9,11 +9,11 @@ oracle-to-regression-test workflow these came out of).
 """
 
 import random
-import types
 import warnings
 
 import pytest
 
+from repro import obs
 from repro.config import MiningParams
 from repro.core import candidates as cand
 from repro.core import verification as verif
@@ -218,18 +218,15 @@ class _TickClock:
         return self.now
 
 
-def _patch_engine_clock(monkeypatch, clock):
-    """Tick the clock for the engine's reads only.
+def _patch_region_clock(monkeypatch, clock):
+    """Tick the clock that timed regions read, and only that one.
 
-    ``repro.core.prague`` resolves ``time.perf_counter`` through its module
-    global, so swapping that one reference isolates the tick accounting from
-    every *other* instrumented module (recorder, histograms, index lookups)
-    that shares the real stdlib ``time``.
+    ``repro.obs.tracer`` resolves ``perf_counter`` through its module
+    global, so swapping that one reference isolates the tick accounting
+    from every *other* reader of the stdlib clock (recorder events, the
+    per-candidate verification samples).
     """
-    monkeypatch.setattr(
-        "repro.core.prague.time",
-        types.SimpleNamespace(perf_counter=clock.perf_counter),
-    )
+    monkeypatch.setattr("repro.obs.tracer.perf_counter", clock.perf_counter)
 
 
 class TestImplicitSimilarityTiming:
@@ -257,25 +254,33 @@ class TestImplicitSimilarityTiming:
     ):
         engine = self._dead_edge_engine(small_db, small_indexes)
         clock = _TickClock()
-        _patch_engine_clock(monkeypatch, clock)
-        engine.add_edge("y", "z")
-        sim_report = engine.history[-2]
-        edge_report = engine.history[-1]
+        _patch_region_clock(monkeypatch, clock)
+        with obs.trace() as tracer:
+            engine.add_edge("y", "z")
+        sim_report, edge_report = engine.history[-2:]
         assert sim_report.action is Action.SIM_QUERY
-        # enable_similarity reads the clock twice: 1 tick of processing.
-        assert sim_report.processing_seconds == pytest.approx(1.0)
-        # add_edge reads it four times after the dialogue resolved: its
-        # window (3 ticks) starts after the similarity window closed —
-        # neither double-counted nor dropped.
-        assert edge_report.processing_seconds == pytest.approx(3.0)
-        assert edge_report.spig_seconds == pytest.approx(1.0)
+        sim_span, edge_span = tracer.roots
+        assert (sim_span.name, edge_span.name) == (
+            "action.simquery", "action.new",
+        )
+        # Disjoint windows: the New window opens only after the similarity
+        # window closed — neither double-counted nor dropped.
+        assert sim_span.end_s < edge_span.start_s
+        assert sim_report.processing_seconds == sim_span.seconds
+        assert edge_report.processing_seconds == edge_span.seconds
+        # SPIG construction reads the clock twice: 1 tick, inside New's.
+        (spig_span,) = [
+            c for c in edge_span.children if c.name == "spig.construct"
+        ]
+        assert edge_report.spig_seconds == spig_span.seconds == 1.0
+        assert edge_span.start_s < spig_span.start_s < edge_span.end_s
 
     def test_session_totals_count_each_report_once(
         self, small_db, small_indexes, monkeypatch
     ):
         engine = self._dead_edge_engine(small_db, small_indexes)
         clock = _TickClock()
-        _patch_engine_clock(monkeypatch, clock)
+        _patch_region_clock(monkeypatch, clock)
         start = clock.now
         engine.add_edge("y", "z")
         elapsed = clock.now - start

@@ -2,8 +2,8 @@
 
 The counters must *tell the truth about which path ran*: with a pool
 (``REPRO_WORKERS=3``) and a large batch the pool counters move, serially the
-serial counter does; engine action and SPIG counters are the same whatever
-the worker count.
+serial counter does; engine action samples and SPIG counters are the same
+whatever the worker count.
 """
 
 import pytest
@@ -30,16 +30,16 @@ class TestPathCountersAcrossMatrix:
         trace = generate_trace(seed=5)
         with applied(config), obs.trace():
             replay_trace(trace, config)
-            counters = obs.full_snapshot()["counters"]
+            histograms = obs.full_snapshot()["histograms"]
         action_total = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("engine.action.")
+            summary["count"]
+            for name, summary in histograms.items()
+            if name.startswith("action.")
         )
-        # every engine-processed gesture counts itself exactly once, and a
+        # every engine-processed gesture records itself exactly once, and a
         # fuzzed trace always ends in at least one run
         assert action_total > 0
-        assert counters.get("engine.action.run", 0) >= 1
+        assert histograms.get("action.run", {}).get("count", 0) >= 1
 
     def test_counters_identical_across_configs_where_shared(self, config):
         """SPIG construction volume is knob-independent."""
@@ -83,12 +83,13 @@ class TestVerificationPoolCounters:
         pattern, ids = batch
         with obs.trace():
             pooled = verify_batch(pattern, ids, small_db, workers=3)
-            counters = obs.full_snapshot()["counters"]
+            snapshot = obs.full_snapshot()
+        counters = snapshot["counters"]
         pool_ran = counters.get("verify.pool.runs", 0) >= 1
         fell_back = counters.get("verify.pool.fallbacks", 0) >= 1
         assert pool_ran
         if not fell_back:
-            assert counters.get("verify.pool.chunks", 0) >= 2
+            assert snapshot["histograms"]["verify.chunk"]["count"] >= 2
         with obs.trace():
             serial = verify_batch(pattern, ids, small_db, workers=1)
         assert pooled == serial

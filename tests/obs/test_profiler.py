@@ -27,7 +27,6 @@ from repro.obs.profiler import (
     _NOOP,
     folded_lines,
     profile_action,
-    profile_block,
     profile_summary,
     render_flamegraph_html,
     top_frames,
@@ -67,7 +66,7 @@ class TestSamplerLifecycle:
         assert not PROFILER.enabled
         assert PROFILER.hz == 0.0
         assert profile_action("new") is _NOOP
-        assert profile_block("arena.build") is _NOOP
+        assert profile_action("arena.build") is _NOOP
 
     def test_force_starts_sampling_and_none_stops_it(self):
         PROFILER.force(500.0)
@@ -189,7 +188,7 @@ class TestMemoryTier:
     def test_mem_bracket_attributes_allocating_lines(self):
         PROFILER.force_mem(5)
         assert PROFILER.mem_topn == 5
-        with profile_block("index.build"):
+        with profile_action("index.build"):
             hoard = [bytearray(4096) for _ in range(200)]
         assert hoard
         memory = PROFILER.collect()["memory"]

@@ -10,6 +10,7 @@ postmortem bundle renderer — are exercised on real shapes.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -223,12 +224,38 @@ class TestRequestScopeStamping:
     def test_root_spans_inside_a_scope_carry_the_id(self):
         with obs.trace() as tracer:
             with request_scope("req-span"):
-                with obs.span("outer"):
-                    with obs.span("inner"):
+                with obs.timed("outer"):
+                    with obs.timed("inner"):
                         pass
         root = tracer.roots[-1]
         assert root.attrs["request_id"] == "req-span"
         assert "request_id" not in root.children[0].attrs
+
+    def test_concurrent_requests_each_root_their_own_tree(self):
+        """Handler threads trace side by side: open regions are tracked per
+        thread, so each request's region roots its own tree and carries its
+        own id instead of nesting under whichever request opened first."""
+        both_open = threading.Barrier(2)
+
+        def handle(request_id):
+            with request_scope(request_id):
+                with obs.timed("service.request"):
+                    both_open.wait(timeout=10)
+                    with obs.timed("service.action"):
+                        pass
+
+        with obs.trace() as tracer:
+            threads = [threading.Thread(target=handle, args=(rid,))
+                       for rid in ("req-a", "req-b")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert sorted(r.attrs["request_id"] for r in tracer.roots) == [
+            "req-a", "req-b",
+        ]
+        for root in tracer.roots:
+            assert [c.name for c in root.children] == ["service.action"]
 
 
 class TestRendering:

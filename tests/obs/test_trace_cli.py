@@ -76,7 +76,7 @@ class TestTraceCommand:
         assert main(["trace", "--seed", "1", "--min-ms", "10000"]) == 0
         out = capsys.readouterr().out
         # nothing in a toy replay takes 10 s; the tree renders empty
-        # ("engine.action.*" counters still appear in the metrics section)
+        # (the action.* histograms still appear in their own section)
         spans_section = out.split("metrics:")[0]
         assert "spig.construct" not in spans_section
         assert "action.run" not in spans_section

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.config import trace_enabled
-from repro.obs.tracer import TRACER, span
+from repro.obs.tracer import TRACER, timed
 
 
 @pytest.fixture(autouse=True)
@@ -42,19 +42,18 @@ def test_exception_does_not_leave_open_spans_on_the_stack():
     on the tracer's stack after ``trace()`` unwound."""
     with pytest.raises(ValueError):
         with obs.trace() as tracer:
-            handle = span("leaky")
+            handle = timed("leaky")
             handle.__enter__()  # opened, never exited: the raise skips it
             raise ValueError("boom")
-    assert tracer.current() is None, "span stack must be empty after trace()"
-    assert tracer._stack == []
+    assert tracer._stack == [], "span stack must be empty after trace()"
 
 
 def test_exception_closes_the_abandoned_spans():
     with pytest.raises(ValueError):
         with obs.trace() as tracer:
-            outer = span("outer")
+            outer = timed("outer")
             outer.__enter__()
-            inner = span("inner")
+            inner = timed("inner")
             inner.__enter__()
             raise ValueError("boom")
     # Both spans were closed (given an end time) during the unwind.
@@ -66,10 +65,10 @@ def test_exception_closes_the_abandoned_spans():
 def test_next_trace_block_is_not_reparented_under_a_leaked_span():
     with pytest.raises(ValueError):
         with obs.trace():
-            span("leaky").__enter__()
+            timed("leaky").__enter__()
             raise ValueError("boom")
     with obs.trace(reset=False) as tracer:
-        with span("fresh"):
+        with timed("fresh"):
             pass
     names = [root.name for root in tracer.roots]
     assert "fresh" in names, (
@@ -79,21 +78,20 @@ def test_next_trace_block_is_not_reparented_under_a_leaked_span():
 
 def test_nested_trace_blocks_unwind_to_their_own_depth():
     with obs.trace() as tracer:
-        with span("outer"):
+        with timed("outer"):
             with pytest.raises(KeyError):
                 with obs.trace(reset=False):
-                    span("abandoned").__enter__()
+                    timed("abandoned").__enter__()
                     raise KeyError("boom")
             # The outer block's span context is intact after the inner raise.
-            assert tracer.current() is not None
-            assert tracer.current().name == "outer"
+            assert [s.name for s in tracer._stack] == ["outer"]
     assert tracer._stack == []
 
 
 def test_happy_path_unchanged():
     with obs.trace() as tracer:
-        with span("a"):
-            with span("b"):
+        with timed("a"):
+            with timed("b"):
                 pass
     assert tracer.span_count() == 2
     assert tracer._stack == []

@@ -56,11 +56,8 @@ def _query(db, seed, edges=4):
 
 
 def _verification_totals(snapshot):
-    counters = snapshot["counters"]
     hists = snapshot["histograms"]
     return {
-        "tested": counters.get("verify.tested", 0),
-        "sim.tested": counters.get("verify.sim.tested", 0),
         "candidate.count": hists.get("verify.candidate", {}).get("count", 0),
         "sim.candidate.count":
             hists.get("verify.sim.candidate", {}).get("count", 0),
@@ -71,8 +68,8 @@ class TestTelemetryParityAcrossWorkerCounts:
     def test_verify_batch_totals_match_serial_at_four_workers(self, corpus):
         """The headline acceptance check: with four workers,
         ``full_snapshot()`` accounts for 100% of verification observations —
-        same ``verify.tested`` total, same ``verify.candidate`` sample count
-        — and the answer ids are identical."""
+        one ``verify.candidate`` sample per candidate on either path — and
+        the answer ids are identical."""
         query = _query(corpus, seed=2012)
         ids = list(corpus.ids())
 
@@ -87,8 +84,8 @@ class TestTelemetryParityAcrossWorkerCounts:
         assert pooled_out == serial_out
         fell_back = snapshot["counters"].get("verify.pool.fallbacks", 0)
         assert not fell_back, "pool unavailable: parity test needs a pool run"
-        assert pooled["tested"] == serial["tested"] == len(ids)
-        assert pooled["candidate.count"] == serial["candidate.count"]
+        assert pooled["candidate.count"] == serial["candidate.count"] \
+            == len(ids)
         # the merge itself is accounted for
         assert snapshot["counters"].get("obs.merge.deltas", 0) >= 2
 
@@ -107,20 +104,29 @@ class TestTelemetryParityAcrossWorkerCounts:
         assert pooled_out == serial_out
         if snapshot["counters"].get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
-        assert pooled["sim.tested"] == serial["sim.tested"] == len(ids)
-        assert pooled["sim.candidate.count"] == serial["sim.candidate.count"]
+        assert pooled["sim.candidate.count"] \
+            == serial["sim.candidate.count"] == len(ids)
 
     def test_chunk_histogram_covers_every_pool_chunk(self, corpus):
-        """Worker-side ``verify.chunk`` samples merge back: one per chunk."""
+        """Worker-side ``verify.chunk`` samples merge back: one per chunk
+        the ``pool.run`` event says was dispatched."""
         query = _query(corpus, seed=3)
-        with obs.trace():
-            verify_batch(query, list(corpus.ids()), corpus, workers=4)
-            snapshot = obs.full_snapshot()
+        RECORDER.force(True)
+        RECORDER.reset()
+        try:
+            with obs.trace():
+                verify_batch(query, list(corpus.ids()), corpus, workers=4)
+                snapshot = obs.full_snapshot()
+                events = RECORDER.snapshot()
+        finally:
+            RECORDER.force(None)
+            RECORDER.reset()
         if snapshot["counters"].get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
-        chunks = snapshot["counters"].get("verify.pool.chunks", 0)
-        assert chunks >= 2
-        assert snapshot["histograms"]["verify.chunk"]["count"] == chunks
+        (run,) = [e for e in events if e["kind"] == "pool.run"]
+        assert run["chunks"] >= 2
+        assert snapshot["histograms"]["verify.chunk"]["count"] \
+            == run["chunks"]
 
 
 class TestWorkerEventsReachTheParentRing:
@@ -131,15 +137,16 @@ class TestWorkerEventsReachTheParentRing:
         try:
             with obs.trace():
                 verify_batch(query, list(corpus.ids()), corpus, workers=4)
-                counters = obs.full_snapshot()["counters"]
+                snapshot = obs.full_snapshot()
                 events = RECORDER.snapshot()
         finally:
             RECORDER.force(None)
             RECORDER.reset()
-        if counters.get("verify.pool.fallbacks", 0):
+        if snapshot["counters"].get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
         chunk_events = [e for e in events if e["kind"] == "pool.chunk"]
-        assert len(chunk_events) == counters.get("verify.pool.chunks")
+        assert len(chunk_events) == \
+            snapshot["histograms"]["verify.chunk"]["count"]
         assert all(e.get("src", "").startswith("pid-") for e in chunk_events)
         # timestamp-ordered interleave: the ring stays sorted by t_s
         stamps = [e["t_s"] for e in events]

@@ -10,6 +10,7 @@ fail before a real bug can slip through.
 from unittest import mock
 
 import repro.core.exact as exact_mod
+from repro import obs
 from repro.oracle import check_session, generate_trace, run_sweep
 from repro.oracle.replay import CONFIG_MATRIX
 from repro.spig.manager import SpigManager
@@ -34,6 +35,16 @@ class TestCleanSessions:
         assert len(manifest["configs"]) == len(CONFIG_MATRIX)
         assert manifest["oracles"] == ["naive-baseline", "fresh-replay"]
         assert manifest["total_steps"] == report.total_steps
+
+    def test_pooled_cells_reach_the_pool(self):
+        """The workers>1 cells replay the pooled path, not only the serial
+        one: fuzzed batches are small, so the cells pin the pool floor to
+        one candidate."""
+        with obs.trace():
+            report = run_sweep(sessions=3, base_seed=0, shrink=False)
+            pool_runs = obs.METRICS.counter("verify.pool.runs")
+        assert report.ok
+        assert pool_runs >= 1
 
     def test_progress_callback_fires(self):
         lines = []
