@@ -1,10 +1,9 @@
 """Warm-pool dispatch benchmark — what a Run pays once the pool is up.
 
 Not a paper figure: this suite records the cost of the warm verification
-pool and the shared-memory arena (:mod:`repro.core.pool`,
-:mod:`repro.index.arena`).  One full-corpus ``verify_batch`` is dispatched
-serially and on the warm pool (reused arena-attached workers) on identical
-inputs, with identical answers asserted.  No speed floor is enforced: the
+pool (:mod:`repro.core.pool`).  One full-corpus ``verify_batch`` is
+dispatched serially and on the warm pool (reused workers, forked with the
+database) on identical inputs, with identical answers asserted.  No speed floor is enforced: the
 table is the input for deciding when a batch is worth pooling.  That a
 dispatch reuses the running workers is checked by
 ``tests/core/test_warm_pool.py::TestWarmPoolLifecycle``.

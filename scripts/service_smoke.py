@@ -5,7 +5,8 @@ End to end over a real subprocess — the one surface the in-process tests
 cannot cover: argument parsing, the stdout readiness line, signal-driven
 shutdown, and resource hygiene.  The script
 
-1. snapshots ``/dev/shm`` (the arena publishes ``psm_*`` segments there),
+1. snapshots ``/dev/shm`` (nothing publishes ``psm_*`` segments there; the
+   run proves it stays that way),
 2. spawns ``python -m repro serve`` in its own process group and waits for
    the ``serving PRAGUE sessions on http://...`` readiness line,
 3. drives several genuinely concurrent scripted sessions over HTTP and

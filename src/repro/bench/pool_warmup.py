@@ -8,7 +8,7 @@ configurations over identical inputs:
 
 * **serial** — ``workers=1``, the in-process reference path;
 * **warm** — the first dispatch spawns (timed once as ``spawn_s``), the
-  measured ones reuse the running arena-attached workers.
+  measured ones reuse the running workers, forked with the database.
 
 Both produce identical answers (asserted); ``warm_vs_serial`` is the serial
 time over the warm time, so a value below 1 means the pool loses at this
@@ -75,8 +75,8 @@ def run_pool_warmup(
     The pool floor is pinned to 1 so both configurations actually take their
     intended path regardless of corpus size.  The warm pool is shut down
     before its first dispatch so the spawn cost is charged to ``spawn_s``,
-    not smeared into the reused dispatches; the arena is published before
-    that dispatch, so ``spawn_s`` is the worker start alone.
+    not smeared into the reused dispatches: ``spawn_s`` is the fork plus
+    that first dispatch.
     """
     from repro.datasets.aids import generate_aids_like
 
@@ -92,7 +92,6 @@ def run_pool_warmup(
         serial_s = _best_dispatch(query, db, workers=1, repeats=repeats)
 
         pool_mod.POOL.shutdown()  # charge the spawn to spawn_s, once
-        pool_mod.arena_for(db)  # ...but not the arena build
         spawn_start = time.perf_counter()
         warm_answer = verify_batch(query, ids, db, workers=workers)
         spawn_s = time.perf_counter() - spawn_start

@@ -1014,7 +1014,7 @@ def _cmd_serve(args) -> int:
             db, MiningParams(args.alpha, args.beta, args.max_edges)
         )
     plane = SharedPlane(db, indexes)
-    plane.warm()  # pay the arena build before the first Run, not during it
+    plane.warm()  # label statistics before the first Run, not during it
     manager = SessionManager(
         plane,
         max_sessions=args.max_sessions,

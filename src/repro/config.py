@@ -261,11 +261,10 @@ def profile_mem_topn() -> int:
     """``tracemalloc`` top-N allocation sites per bracket
     (``REPRO_PROFILE_MEM``, default 0 = off).
 
-    When positive, engine actions and arena/index builds are bracketed with
-    tracemalloc snapshots and the top-N allocating source lines (by size
-    delta) are attached to the profile's memory tier.  Starting tracemalloc
-    roughly doubles allocation cost process-wide, so this is a diagnostic
-    knob, not an always-on one.
+    When positive, engine actions are bracketed with tracemalloc snapshots
+    and the top-N allocating source lines (by size delta) are attached to the
+    profile's memory tier.  Starting tracemalloc roughly doubles allocation
+    cost process-wide, so this is a diagnostic knob, not an always-on one.
     """
     try:
         value = int(os.environ.get("REPRO_PROFILE_MEM", "0"))

@@ -1,8 +1,7 @@
 """The shared, immutable half of the engine state.
 
-ROADMAP item 1's critical refactor: everything a formulation session *reads*
-but never *writes* — the graph database, the mined A2F/A2I indexes, and the
-published shared-memory arena of the database's graphs — bundled into one
+Everything a formulation session *reads* but never *writes* — the graph
+database and the mined A2F/A2I indexes — bundled into one
 :class:`SharedPlane` that is built once per process and shared read-only by
 every concurrent session.  Per-session state (the visual query, the SPIG
 set, candidates, the undo stack) stays inside each
@@ -18,16 +17,15 @@ on ``len(db)``.
 from __future__ import annotations
 
 import threading
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 from repro.config import DEFAULT_SUBGRAPH_DISTANCE
-from repro.core.pool import arena_for
 from repro.graph.database import GraphDatabase
 from repro.index.builder import ActionAwareIndexes
 
 
 class SharedPlane:
-    """One process-wide bundle of (db, indexes, arena) shared by sessions."""
+    """One process-wide bundle of (db, indexes) shared by sessions."""
 
     def __init__(self, db: GraphDatabase, indexes: ActionAwareIndexes) -> None:
         self.db = db
@@ -46,14 +44,15 @@ class SharedPlane:
                 ids = self._ids
         return ids
 
-    def warm(self) -> Optional[object]:
-        """Pre-build and publish the shared-memory arena (idempotent).
+    def warm(self) -> None:
+        """Precompute the database's label statistics (idempotent).
 
         A server calls this once at startup so the first Run action of the
-        first session doesn't pay the arena build; returns ``None`` when
-        shared memory is unavailable.
+        first session doesn't pay the pass: every verification reads them,
+        and pool workers fork with them cached.  The pool itself stays
+        lazy — a workload that never pools never holds idle workers.
         """
-        return arena_for(self.db)
+        self.db.label_frequencies()
 
     def engine(
         self,

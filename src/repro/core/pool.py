@@ -1,29 +1,29 @@
-"""The persistent verification pool and the process-wide arena registry.
+"""The persistent verification pool.
 
 Before this module existed every ``_run_batch`` call built a fresh
 ``multiprocessing.Pool`` — fork/spawn startup on *every* Run action — and
 pickled the candidate graphs into each chunk payload.  Both costs land
 squarely inside the SRT budget the paper optimizes, so this module keeps the
-machinery warm instead:
+workers warm instead:
 
-* :func:`arena_for` maintains one shared-memory
-  :class:`~repro.index.arena.IndexArena` — the database's graphs — per live
-  database, keyed by the database object and invalidated whenever
-  ``len(db)`` changes (``db.add()`` only ever appends).
-* :class:`WarmPool` is the long-lived pool: lazily spawned on the first
-  parallel batch, reused while the worker count and arena version stay put,
-  expired after :func:`repro.config.pool_idle_ttl` idle seconds, torn down
-  and respawned automatically after a broken-pool failure, and shut down for
-  good at interpreter exit (so no orphaned processes or shared-memory
-  segments survive pytest).
-* :func:`resolve_items` is the payload boundary: pooled chunks reference
-  candidates as ``("arena", version, ids)`` and workers materialize them
-  from the arena they attached at spawn (decoded graphs are memoised per
-  worker, so a graph crosses the pickle boundary zero times).
+* :class:`WarmPool` wraps one ``concurrent.futures.ProcessPoolExecutor``:
+  lazily spawned by the first pooled batch, reused while the database, its
+  length and the worker count stay put, expired after
+  :func:`repro.config.pool_idle_ttl` idle seconds, discarded after any
+  dispatch failure (the next dispatch respawns it), and shut down for good at
+  interpreter exit.  A worker that dies, busy or idle, breaks the executor at
+  once, so the batch in flight falls back to the serial path instead of
+  hanging.
+* Workers read the :class:`~repro.graph.database.GraphDatabase` they were
+  forked with: it is the executor's ``initargs``, which fork inherits rather
+  than pickles (without fork it is pickled to each worker once, at spawn).
+  ``db.add()`` only ever appends, so a chunk carries the length of the
+  database it was cut from and :func:`worker_db` refuses a chunk whose length
+  differs from the worker's; a chunk payload is candidate ids, never graphs.
 
-Everything here is wall-clock machinery only: without shared memory, and
-after any pool failure, a batch runs on the serial in-process path with
-identical answers (:mod:`repro.core.verification`).
+Everything here is wall-clock machinery only: after any pool failure a batch
+runs on the serial in-process path with identical answers
+(:mod:`repro.core.verification`).
 """
 
 from __future__ import annotations
@@ -34,16 +34,12 @@ import signal
 import threading
 import time
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import List, Optional, Tuple
 
 from repro.config import pool_idle_ttl
 from repro.obs.metrics import count, gauge
-from repro.obs.profiler import profile_action
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import timed
-
-#: Payload tag for arena-resident chunks (see :func:`resolve_items`).
-ARENA_REF = "arena"
 
 
 def _pool_context():
@@ -53,138 +49,58 @@ def _pool_context():
 
 
 # ----------------------------------------------------------------------
-# arena registry (parent side)
-# ----------------------------------------------------------------------
-#: id(db) -> (db weakref, db length at build, arena) — the length pins the
-#: invalidation: ``db.add()`` appends, so a length change means new content.
-_ARENAS: Dict[int, Tuple[Any, int, Any]] = {}
-#: arena version -> arena, for parent-side payload resolution (fallbacks).
-_BY_VERSION: Dict[str, Any] = {}
-#: Serializes registry mutation: the service layer runs sessions on
-#: ``ThreadingHTTPServer`` threads, so two first-Run actions can race into
-#: ``arena_for`` (and the weakref death callback can fire on any thread).
-_REGISTRY_LOCK = threading.RLock()
-
-
-def _drop_arena(key: int) -> None:
-    """Dispose ``key``'s arena (the database grew or died)."""
-    with _REGISTRY_LOCK:
-        entry = _ARENAS.pop(key, None)
-        if entry is not None:
-            _, _, arena = entry
-            _BY_VERSION.pop(arena.version, None)
-            arena.dispose()
-
-
-def arena_for(db) -> Optional[Any]:
-    """The published shared-memory arena for ``db`` (built on first use).
-
-    Returns ``None`` when shared memory is unavailable — callers then verify
-    serially in-process.  A stale entry (the database grew) is disposed and
-    rebuilt, which also forces the warm pool to respawn against the new
-    version.
-    """
-    key = id(db)
-    with _REGISTRY_LOCK:
-        entry = _ARENAS.get(key)
-        if entry is not None:
-            ref, length, arena = entry
-            if ref() is db and length == len(db):
-                return arena
-            _drop_arena(key)
-            count("arena.invalidations")
-            RECORDER.record("arena.invalidate", db_size=len(db))
-        from repro.index.arena import IndexArena
-
-        with profile_action("arena.build"), timed("arena.build") as region:
-            arena = IndexArena.build(db)
-            published = arena.publish()
-        if published is None:  # no shared memory on this platform
-            arena.dispose()
-            return None
-        _ARENAS[key] = (
-            weakref.ref(db, lambda _r, k=key: _drop_arena(k)), len(db), arena
-        )
-        _BY_VERSION[arena.version] = arena
-        count("arena.builds")
-        gauge("arena.bytes", arena.nbytes)
-        RECORDER.record(
-            "arena.build", version=arena.version, bytes=arena.nbytes,
-            graphs=arena.db_size, seconds=region.seconds,
-        )
-        return arena
-
-
-def arena_segment_bytes() -> int:
-    """Total bytes of live published arena segments in this process.
-
-    The memory gauge behind ``arena.segment_bytes`` in ``full_snapshot()``:
-    shared-memory segments do not show up in ``tracemalloc`` (they are not
-    Python allocations) and only partially in RSS (pages fault in lazily),
-    so the arena registry reports them explicitly.
-    """
-    with _REGISTRY_LOCK:
-        return sum(arena.nbytes for _, _, arena in _ARENAS.values())
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-_WORKER_ARENA = None
+_WORKER_DB = None
 
 
-def _attach_worker_arena(name: str, version: str) -> None:
-    """Pool initializer: attach the published arena once per worker.
-
-    Must never raise — a failing ``Pool`` initializer makes the pool respawn
-    workers in a loop.  On any failure the worker simply has no arena and
-    the first chunk raises, which the parent turns into a serial fallback.
+def _init_worker(db) -> None:
+    """Executor initializer: keep the inherited database for every chunk.
 
     Also restores the default signal dispositions a forked worker would
     otherwise inherit from the parent: the service's SIGTERM handler only
-    sets a stop event, but ``Pool.terminate()`` relies on SIGTERM killing
-    the workers (it then joins them without a timeout), so a worker that
-    survived it would hang the parent's shutdown.  SIGINT is ignored: a
-    terminal's Ctrl-C reaches the whole process group, and the parent's
-    shutdown stops the workers.
+    sets a stop event, but :func:`_stop_workers` relies on SIGTERM killing
+    the workers, so a worker that survived it would outlive the pool.
+    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process group,
+    and the parent's shutdown stops the workers.
     """
-    global _WORKER_ARENA
+    global _WORKER_DB
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        from repro.index.arena import IndexArena
-
-        _WORKER_ARENA = IndexArena.attach(name, expected_version=version)
-    except Exception:
-        _WORKER_ARENA = None
+    _WORKER_DB = db
 
 
-def resolve_items(items) -> Sequence[Tuple[int, Any]]:
-    """Materialize a chunk payload's ``(gid, graph)`` pairs.
+def worker_db(size: int):
+    """This worker's database, which must hold ``size`` graphs.
 
-    ``items`` is an arena reference, ``(ARENA_REF, version, ids)``.  It
-    resolves against the worker's attached arena, or against the
-    parent-side registry when the chunk runs in-process (the serial
-    fallback path).
+    ``size`` is the length of the database the chunk was cut from.  A
+    ``db.add()`` between the cut and the worker's fork leaves the two
+    lengths apart, so a mismatch raises and the parent's batch falls back to
+    the serial path.
     """
-    _, version, ids = items
-    attached = _WORKER_ARENA
-    if attached is not None and attached.version == version:
-        return attached.items(ids)
-    arena = _BY_VERSION.get(version)
-    if arena is not None:
-        return arena.items(ids)
-    if attached is not None:
-        count("arena.version_mismatch")
+    db = _WORKER_DB
+    if len(db) != size:
         raise RuntimeError(
-            f"arena version mismatch: worker attached {attached.version!r} "
-            f"but the chunk references {version!r} "
-            "(stale forked worker dispatched after an arena rebuild)"
+            f"database length mismatch: the worker holds {len(db)} graphs "
+            f"but the chunk was cut from {size}"
         )
-    raise RuntimeError(
-        f"no arena attached for version {version!r} "
-        "(worker initializer failed)"
-    )
+    return db
+
+
+def _stop_workers(executor: ProcessPoolExecutor) -> None:
+    """Stop ``executor`` and its workers now, busy or idle.
+
+    ``shutdown(wait=True)`` would wait for running chunks, so this does what
+    CPython 3.14's ``terminate_workers()`` does: it takes the processes
+    before ``shutdown`` forgets them, then terminates each one and waits up
+    to 5 s for it to exit.
+    """
+    processes = list((executor._processes or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        proc.terminate()
+    for proc in processes:
+        proc.join(5.0)
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +109,10 @@ def resolve_items(items) -> Sequence[Tuple[int, Any]]:
 class WarmPool:
     """One long-lived verification pool per process.
 
-    The pool is (re)spawned whenever the requested worker count or the arena
-    version changes, after an idle TTL, or after a dispatch failure; between
-    those events every batch reuses the running workers, which is where the
-    cold-start milliseconds of each Run action go to die.
+    The pool is (re)spawned whenever the database, its length or the
+    requested worker count changes, after an idle TTL, or after a dispatch
+    failure; between those events every batch reuses the running workers,
+    which is where the cold-start milliseconds of each Run action go to die.
 
     Workers are shared across HTTP requests and sessions — per-request
     correlation is *not* pool state.  Each dispatched chunk carries its own
@@ -207,39 +123,41 @@ class WarmPool:
     """
 
     def __init__(self) -> None:
-        self._pool = None
-        self._key: Optional[Tuple[int, str]] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
+        #: The database the workers were forked with, compared by identity
+        #: (a weakref: the pool must not keep a dropped database alive).
+        self._db = None
+        self._key: Optional[Tuple[int, int]] = None  # (len(db), workers)
         self._last_used = 0.0
         self._respawn_pending = False
-        # Lifecycle lock only: concurrent ``Pool.map`` calls are safe, but
-        # two service threads must not race a spawn/discard/TTL decision.
+        # Lifecycle lock only: concurrent ``submit`` calls are safe, but two
+        # service threads must not race a spawn/discard/TTL decision.
         self._lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn(self, workers: int, arena) -> None:
-        ctx = _pool_context()
-        self._pool = ctx.Pool(
-            workers,
-            initializer=_attach_worker_arena,
-            initargs=(arena.publish(), arena.version),
+    def _spawn(self, workers: int, db) -> None:
+        self._executor = ProcessPoolExecutor(
+            workers, mp_context=_pool_context(),
+            initializer=_init_worker, initargs=(db,),
         )
-        self._key = (workers, arena.version)
+        self._db = weakref.ref(db)
+        self._key = (len(db), workers)
         self._last_used = time.monotonic()
         if self._respawn_pending:
             self._respawn_pending = False
             count("verify.pool.respawns")
         count("verify.pool.spawns")
         gauge("pool.workers", workers)
-        RECORDER.record("pool.spawn", workers=workers, arena=arena.version)
+        RECORDER.record("pool.spawn", workers=workers, graphs=len(db))
 
     def _discard(self, reason: str) -> None:
         with self._lock:
-            if self._pool is None:
+            if self._executor is None:
                 return
-            pool, self._pool, self._key = self._pool, None, None
+            executor, self._executor = self._executor, None
+            self._db = self._key = None
         try:
-            pool.terminate()
-            pool.join()
+            _stop_workers(executor)
         except Exception:
             pass
         RECORDER.record("pool.discard", reason=reason)
@@ -249,38 +167,39 @@ class WarmPool:
         self._discard("shutdown")
 
     # -- dispatch ------------------------------------------------------
-    def _ensure(self, workers: int, arena):
+    def _ensure(self, workers: int, db) -> ProcessPoolExecutor:
         with self._lock:
-            if self._pool is not None:
+            if self._executor is not None:
                 ttl = pool_idle_ttl()
-                if self._key != (workers, arena.version):
+                if self._db() is not db or self._key != (len(db), workers):
                     self._discard("reconfigured")
                     self._respawn_pending = True
                 elif ttl and time.monotonic() - self._last_used > ttl:
                     count("verify.pool.expired")
                     self._discard("idle-ttl")
                     self._respawn_pending = True
-            if self._pool is None:
-                self._spawn(workers, arena)
+            if self._executor is None:
+                self._spawn(workers, db)
             else:
                 count("verify.pool.reuses")
                 RECORDER.transition("pool.dispatch", "reuse")
-            return self._pool
+            return self._executor
 
-    def map(self, func, payloads: List, workers: int, arena) -> List:
-        """Run ``func`` over ``payloads`` on the warm pool.
+    def map(self, func, payloads: List, workers: int, db) -> List:
+        """Run ``func`` over ``payloads`` on workers forked with ``db``.
 
-        The workers are attached to ``arena``, a published
-        :class:`~repro.index.arena.IndexArena`.  Any failure tears the pool
-        down so the next dispatch respawns cleanly, then propagates to the
-        caller's serial fallback.
+        Any failure, a dead worker included, tears the pool down so the next
+        dispatch respawns cleanly, then propagates to the caller's serial
+        fallback.
         """
-        pool = self._ensure(workers, arena)
+        executor = self._ensure(workers, db)
         try:
-            out = pool.map(func, payloads)
+            out = list(executor.map(func, payloads))
         except Exception:
-            self._discard("broken")
-            self._respawn_pending = True
+            with self._lock:
+                if self._executor is executor:  # not yet replaced
+                    self._discard("broken")
+                    self._respawn_pending = True
             raise
         self._last_used = time.monotonic()
         return out
@@ -289,17 +208,7 @@ class WarmPool:
 #: The process-wide warm pool.
 POOL = WarmPool()
 
-
-def shutdown(dispose_arenas: bool = True) -> None:
-    """Stop the warm pool and (by default) unlink every published arena.
-
-    Safe to call repeatedly; registered at interpreter exit so a test run
-    leaves no worker processes and no shared-memory segments behind.
-    """
-    POOL.shutdown()
-    if dispose_arenas:
-        for key in list(_ARENAS):
-            _drop_arena(key)
-
-
+#: Stop the warm pool (idempotent); also run at interpreter exit, so a test
+#: run leaves no worker processes behind.
+shutdown = POOL.shutdown
 atexit.register(shutdown)

@@ -19,15 +19,13 @@ Both verification flavours run through batch APIs (:func:`verify_batch`,
 :func:`sim_verify_scan`): patterns are compiled once per scan against
 corpus-wide label statistics, and large candidate lists are chunked across
 the **warm** verification pool (:mod:`repro.core.pool`) — long-lived workers
-that attach to the database's shared-memory arena once at spawn, so chunk
-payloads carry ``(arena_version, chunk_ids)`` instead of pickled graphs.
-The worker count comes from :func:`repro.config.verification_workers`
-(``REPRO_WORKERS``; ``1`` = the serial path, deterministic and pool-free —
-what CI pins), and batches below
-:func:`repro.config.pool_min_candidates` candidates skip the pool entirely,
-as does every batch when shared memory is unavailable.  The worker count
-never affects *results*, only wall-clock: every path returns the same id
-sets.
+that read the database they were forked with, so chunk payloads carry the
+pattern and candidate ids, never graphs.  The worker count comes from
+:func:`repro.config.verification_workers` (``REPRO_WORKERS``; ``1`` = the
+serial path, deterministic and pool-free — what CI pins), and batches below
+:func:`repro.config.pool_min_candidates` candidates skip the pool entirely.
+The worker count never affects *results*, only wall-clock: every path
+returns the same id sets.
 
 Each scan is one timed region (``verify.scan``, ``verify.sim``, inside
 ``verify.exact`` for a Run), each chunk another (``verify.chunk``), and each
@@ -43,12 +41,13 @@ ran serially or across any pool size
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import warnings
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import pool_min_candidates, verification_workers
-from repro.core.pool import ARENA_REF, POOL, arena_for, resolve_items
+from repro.core.pool import POOL, worker_db
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import CompiledPattern, compile_pattern
 from repro.graph.labeled_graph import Graph
@@ -69,8 +68,10 @@ def _chunks(ids: Sequence[int], size: int) -> List[Sequence[int]]:
     return [ids[i:i + size] for i in range(0, len(ids), size)]
 
 
-def _test_pattern(compiled: CompiledPattern, items) -> List[int]:
-    """Ids among ``items`` whose graph contains the compiled pattern.
+def _test_pattern(
+    compiled: CompiledPattern, db: GraphDatabase, ids: Sequence[int]
+) -> List[int]:
+    """Ids among ``ids`` whose graph in ``db`` contains the compiled pattern.
 
     The single shared inner loop of exact verification — the serial path,
     the pool workers and the pool fallback all run through it, so its
@@ -80,7 +81,8 @@ def _test_pattern(compiled: CompiledPattern, items) -> List[int]:
     inline clock pair costs half a :func:`~repro.obs.tracer.timed` handle.
     """
     out: List[int] = []
-    for gid, graph in items:
+    for gid in ids:
+        graph = db[gid]
         test_start = time.perf_counter()
         hit = compiled.embeds_in(graph)
         observe("verify.candidate", time.perf_counter() - test_start)
@@ -89,15 +91,19 @@ def _test_pattern(compiled: CompiledPattern, items) -> List[int]:
     return out
 
 
-def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
-    """Ids among ``items`` whose graph contains *any* compiled fragment.
+def _test_fragments(
+    compiled: List[CompiledPattern], db: GraphDatabase, ids: Sequence[int]
+) -> List[int]:
+    """Ids among ``ids`` whose graph in ``db`` contains *any* compiled
+    fragment.
 
     SimVerify's shared inner loop; one ``verify.sim.candidate`` sample per
     candidate graph (not per fragment — the ``any`` short-circuit makes
     fragment counts path-dependent, graph counts are not).
     """
     out: List[int] = []
-    for gid, graph in items:
+    for gid in ids:
+        graph = db[gid]
         test_start = time.perf_counter()
         hit = any(c.embeds_in(graph) for c in compiled)
         observe("verify.sim.candidate", time.perf_counter() - test_start)
@@ -106,30 +112,33 @@ def _test_fragments(compiled: List[CompiledPattern], items) -> List[int]:
     return out
 
 
-def _verify_chunk(payload) -> List[int]:
-    """Worker: ids of the chunk's graphs that contain the pattern.
+def _verify_chunk(db: GraphDatabase, payload) -> List[int]:
+    """Ids of the chunk's graphs in ``db`` that contain the pattern.
 
-    ``items`` is an ``(ARENA_REF, arena_version, chunk_ids)`` reference that
-    :func:`repro.core.pool.resolve_items` materializes from the worker's
-    attached shared-memory arena.
+    ``payload`` is ``(pattern, chunk_ids)``; ``db`` is the database a pool
+    worker was forked with, or the caller's on the serial paths.
     """
-    pattern, items, label_freq = payload
+    pattern, ids = payload
     return _test_pattern(
-        CompiledPattern(pattern, label_freq), resolve_items(items)
+        compile_pattern(pattern, db.label_frequencies()), db, ids
     )
 
 
-def _sim_verify_chunk(payload) -> List[int]:
-    """Worker: ids of the chunk's graphs containing *any* of the fragments."""
-    fragments, items, label_freq = payload
+def _sim_verify_chunk(db: GraphDatabase, payload) -> List[int]:
+    """Ids of the chunk's graphs in ``db`` containing *any* of the
+    fragments; ``payload`` is ``(fragments, chunk_ids)``."""
+    fragments, ids = payload
+    label_freq = db.label_frequencies()
     compiled = [CompiledPattern(f, label_freq) for f in fragments]
-    return _test_fragments(compiled, resolve_items(items))
+    return _test_fragments(compiled, db, ids)
 
 
-def _obs_chunk(args) -> Tuple[List[int], dict]:
+def _obs_chunk(blob: bytes) -> Tuple[List[int], dict]:
     """Pool entry point: one chunk under worker-local telemetry capture.
 
-    Receives ``(ctx, worker, payload)``: the parent's observability context
+    Receives the pickled ``(ctx, worker, size, payload)`` (see
+    :func:`_run_batch`): the worker's database must hold ``size`` graphs
+    (:func:`repro.core.pool.worker_db`), the parent's observability context
     is applied, the inherited registries are reset to start a clean delta
     (:func:`repro.obs.snapshot.begin_worker_capture`), the real worker runs,
     and the chunk's ids come back *with* the worker's observation delta for
@@ -139,10 +148,11 @@ def _obs_chunk(args) -> Tuple[List[int], dict]:
     recorder stamps it onto every event here, so a merged ``pool.chunk``
     is attributable to the exact request that triggered the batch.
     """
-    ctx, worker, payload = args
+    ctx, worker, size, payload = pickle.loads(blob)
+    db = worker_db(size)
     begin_worker_capture(ctx)
     with timed("verify.chunk") as region:
-        result = worker(payload)
+        result = worker(db, payload)
     RECORDER.record(
         "pool.chunk", pid=os.getpid(), hits=len(result),
         seconds=region.seconds,
@@ -153,13 +163,14 @@ def _obs_chunk(args) -> Tuple[List[int], dict]:
 def _worker_traceback(exc: BaseException) -> Optional[str]:
     """The worker-side traceback text, when the pool preserved one.
 
-    ``multiprocessing.pool`` re-raises worker exceptions in the parent with
-    ``__cause__`` set to a ``RemoteTraceback`` whose string is the *worker's*
-    formatted traceback.  Parent-side failures (unpicklable payloads, broken
-    pools) have no remote frame — ``None`` then.
+    ``concurrent.futures`` re-raises worker exceptions in the parent with
+    ``__cause__`` set to a ``_RemoteTraceback`` whose string is the
+    *worker's* formatted traceback, wrapped in lines of triple quotes.
+    Parent-side failures (unpicklable payloads, dead workers) have no
+    remote frame — ``None`` then.
     """
     cause = getattr(exc, "__cause__", None)
-    if cause is not None and type(cause).__name__ == "RemoteTraceback":
+    if cause is not None and type(cause).__name__ == "_RemoteTraceback":
         return str(cause)
     return None
 
@@ -176,21 +187,10 @@ def reset_postmortem_limiter() -> None:
     _FALLBACK_DUMPED.clear()
 
 
-def _pool_arena(db: GraphDatabase, candidates: int, workers: int):
-    """The published arena when a batch should run on the pool, else ``None``.
-
-    ``None`` means serial: one worker, a batch below the
-    :func:`repro.config.pool_min_candidates` floor, or no shared memory.
-    """
-    if workers == 1 or candidates < pool_min_candidates():
-        return None
-    return arena_for(db)
-
-
-def _arena_ref(arena, chunk: Sequence[int]):
-    """The payload form of a chunk of candidate ids (see
-    :func:`repro.core.pool.resolve_items`)."""
-    return (ARENA_REF, arena.version, tuple(chunk))
+def _pooled(candidates: int, workers: int) -> bool:
+    """Whether a batch runs on the pool: more than one worker and at least
+    :func:`repro.config.pool_min_candidates` candidates."""
+    return workers > 1 and candidates >= pool_min_candidates()
 
 
 def _run_batch(
@@ -198,17 +198,22 @@ def _run_batch(
     make_payload,
     ids: List[int],
     workers: int,
-    arena,
+    db: GraphDatabase,
 ) -> List[int]:
     """Chunk ``ids`` across the warm pool, falling back to in-process runs.
 
-    Pool failures (unpicklable payloads on spawn platforms, broken workers,
-    fork unavailability) must degrade a *Run* action to the slower serial
-    path, not abort it: the answer is computable without a pool, so compute
-    it.  The fallback executes the same worker on the same payloads, hence
-    returns the identical id list — arena references resolve in-process
-    against the parent-side registry.  ``arena`` is the published arena the
-    pool workers attach to.
+    ``worker(db, payload)`` runs once per chunk: on a pool worker against
+    the database that worker was forked with, and on the fallback against
+    ``db``.  Pool failures (unpicklable payloads, dead workers, a worker
+    forked before a ``db.add()``) must degrade a *Run* action to the slower
+    serial path, not abort it: the answer is computable without a pool, so
+    compute it.  The fallback executes the same worker on the same
+    payloads, hence returns the identical id list.
+
+    Each chunk is pickled here, before any dispatch, so an unpicklable
+    payload fails in the calling thread instead of the executor's feeder
+    thread.  It carries the length of ``db`` on entry, which a pool worker
+    checks against its own.
 
     On the pool path every chunk's observation delta is merged back here,
     so nothing a worker recorded is lost (see :mod:`repro.obs.snapshot`);
@@ -218,21 +223,24 @@ def _run_batch(
     the chunk payloads, and in-process fallbacks inherit the thread's
     scope, so correlation survives the degradation.
     """
+    size = len(db)
+    db.label_frequencies()  # cached before the workers fork, read by each
     chunk_size = max(1, -(-len(ids) // (workers * 4)))  # ~4 chunks per worker
     payloads = [make_payload(chunk) for chunk in _chunks(ids, chunk_size)]
     count("verify.pool.runs")
     RECORDER.record(
         "pool.run", chunks=len(payloads), workers=workers,
-        candidates=len(ids), arena=arena.version,
+        candidates=len(ids),
     )
     ctx = worker_context()
     try:
-        outputs = POOL.map(
-            _obs_chunk,
-            [(ctx, worker, payload) for payload in payloads],
-            workers,
-            arena=arena,
-        )
+        blobs = [
+            pickle.dumps(
+                (ctx, worker, size, payload), pickle.HIGHEST_PROTOCOL
+            )
+            for payload in payloads
+        ]
+        outputs = POOL.map(_obs_chunk, blobs, workers, db)
         parts = []
         for part, delta in outputs:
             parts.append(part)
@@ -241,13 +249,13 @@ def _run_batch(
         count("verify.pool.fallbacks")
         worker_tb = _worker_traceback(exc)
         # The pool re-raises worker errors with a generic parent-side frame;
-        # the last traceback line is the worker's actual exception (e.g. an
-        # arena version mismatch), which is what the postmortem should lead
-        # with.
+        # the last traceback line inside the quotes is the worker's actual
+        # exception (e.g. a database length mismatch), which is what the
+        # postmortem should lead with.
         provenance = {"cause": f"{type(exc).__name__}: {exc}"}
         if worker_tb is not None:
             provenance["worker_traceback"] = worker_tb
-            lines = [l for l in worker_tb.strip().splitlines() if l.strip()]
+            lines = worker_tb.strip().strip("\"'").strip().splitlines()
             if lines:
                 provenance["cause"] = lines[-1].strip()
         RECORDER.record_exception(
@@ -270,7 +278,7 @@ def _run_batch(
         parts = []
         for payload in payloads:
             with timed("verify.chunk"):
-                parts.append(worker(payload))
+                parts.append(worker(db, payload))
     out: List[int] = []
     for part in parts:  # chunks are ascending and disjoint: concat is sorted
         out.extend(part)
@@ -297,19 +305,13 @@ def verify_batch(
         workers = verification_workers()
     workers = max(1, min(workers, len(ids)))
     with timed("verify.scan", candidates=len(ids), workers=workers):
-        label_freq = db.label_frequencies()
-        arena = _pool_arena(db, len(ids), workers)
-        if arena is None:
-            count("verify.serial")
-            compiled = compile_pattern(pattern, label_freq)
-            out = _test_pattern(compiled, [(gid, db[gid]) for gid in ids])
-        else:
-            out = _run_batch(
-                _verify_chunk,
-                lambda chunk: (pattern, _arena_ref(arena, chunk), label_freq),
-                ids, workers, arena,
+        if _pooled(len(ids), workers):
+            return _run_batch(
+                _verify_chunk, lambda chunk: (pattern, chunk),
+                ids, workers, db,
             )
-    return out
+        count("verify.serial")
+        return _verify_chunk(db, (pattern, ids))
 
 
 def sim_verify_scan(
@@ -334,24 +336,14 @@ def sim_verify_scan(
         "verify.sim",
         candidates=len(ids), fragments=len(fragments), workers=workers,
     ):
-        label_freq = db.label_frequencies()
-        arena = _pool_arena(db, len(ids), workers)
-        if arena is None:
-            count("verify.serial")
-            compiled = [CompiledPattern(f, label_freq) for f in fragments]
-            out = set(
-                _test_fragments(compiled, [(gid, db[gid]) for gid in ids])
-            )
-        else:
-            fragments = list(fragments)
-            out = set(_run_batch(
-                _sim_verify_chunk,
-                lambda chunk: (
-                    fragments, _arena_ref(arena, chunk), label_freq
-                ),
-                ids, workers, arena,
+        fragments = list(fragments)
+        if _pooled(len(ids), workers):
+            return set(_run_batch(
+                _sim_verify_chunk, lambda chunk: (fragments, chunk),
+                ids, workers, db,
             ))
-    return out
+        count("verify.serial")
+        return set(_sim_verify_chunk(db, (fragments, ids)))
 
 
 def exact_verification(

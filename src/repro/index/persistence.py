@@ -8,6 +8,10 @@ respective system must materialise:
 * SG/GR — their shared frequent-feature index;
 * DVP — its σ-dependent decomposition index (built per σ).
 
+Pickle memoizes by identity, so the index components are measured on a copy
+in which equal strings are one object (:func:`_shared`): a size must not
+depend on whether two equal labels happen to be one object in this process.
+
 The one on-disk format, :func:`save_indexes`/:func:`load_indexes`, pickles
 the raw fragment catalogs; loading rebuilds indexes whose lookups and size
 accounting equal the live ones (``tests/index/test_persistence.py`` holds
@@ -17,8 +21,9 @@ that property).
 from __future__ import annotations
 
 import pickle
+import sys
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.index.builder import ActionAwareIndexes
 
@@ -26,6 +31,31 @@ from repro.index.builder import ActionAwareIndexes
 def pickled_size_bytes(obj: Any) -> int:
     """Size of the pickled representation of ``obj``."""
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _shared(obj: Any, memo: Dict[int, Tuple[Any, Any]]) -> Any:
+    """``obj`` with every string interned, so equal strings are one object.
+
+    Containers are rebuilt once per original, memoised by ``id`` (the memo
+    also holds each original, so no id is reused mid-walk): a sub-object the
+    payload shares stays shared and still pickles once.
+    """
+    entry = memo.get(id(obj))
+    if entry is not None:
+        return entry[1]
+    if isinstance(obj, str):
+        out = sys.intern(obj)
+    elif type(obj) in (tuple, list, frozenset):
+        out = type(obj)(_shared(item, memo) for item in obj)
+    else:
+        out = obj
+    memo[id(obj)] = (obj, out)
+    return out
+
+
+def _index_size_bytes(payload: Any) -> int:
+    """Pickled size of an index component, independent of string identity."""
+    return pickled_size_bytes(_shared(payload, {}))
 
 
 def a2f_size_bytes(indexes: ActionAwareIndexes) -> Dict[str, int]:
@@ -40,8 +70,8 @@ def a2f_size_bytes(indexes: ActionAwareIndexes) -> Dict[str, int]:
         for v in a2f.df_vertices()
     ]
     return {
-        "mf_bytes": pickled_size_bytes(mf_payload),
-        "df_bytes": pickled_size_bytes(df_payload),
+        "mf_bytes": _index_size_bytes(mf_payload),
+        "df_bytes": _index_size_bytes(df_payload),
     }
 
 
@@ -49,7 +79,7 @@ def a2i_size_bytes(indexes: ActionAwareIndexes) -> int:
     payload = [
         (e.a2i_id, e.code, e.fsg_ids) for e in indexes.a2i.entries()
     ]
-    return pickled_size_bytes(payload)
+    return _index_size_bytes(payload)
 
 
 def prague_index_size_bytes(indexes: ActionAwareIndexes) -> int:

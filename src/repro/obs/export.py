@@ -348,7 +348,6 @@ def render_top(
     gauges = metrics.get("gauges", {})
     memory_keys = (
         ("proc.rss_bytes", "process RSS"),
-        ("arena.segment_bytes", "arena segments"),
         ("tracemalloc.peak_bytes", "tracemalloc peak"),
     )
     memory = [(label, gauges[key]) for key, label in memory_keys
@@ -400,12 +399,6 @@ def render_top(
                 f"reuses {counters.get('verify.pool.reuses', 0)}  "
                 f"respawns {counters.get('verify.pool.respawns', 0)}  "
                 f"expired {counters.get('verify.pool.expired', 0)}"
-            )
-        builds = counters.get("arena.builds", 0)
-        if builds:
-            lines.append(
-                f"  arena builds {builds}  "
-                f"invalidations {counters.get('arena.invalidations', 0)}"
             )
         if chunk_hist:
             busy = chunk_hist.get("sum_s", 0.0)

@@ -164,10 +164,10 @@ def full_snapshot() -> Dict[str, Dict[str, Any]]:
     :data:`repro.obs.slo.SLO` — both feed the Prometheus export.
 
     Process-level memory gauges (``proc.rss_bytes``,
-    ``arena.segment_bytes``, ``tracemalloc.peak_bytes``) are sampled at
-    snapshot time and always present (zero when the source is off or
-    unavailable), independent of the tracing switch — like the canonical
-    bridge, their shape is part of the observable API.
+    ``tracemalloc.peak_bytes``) are sampled at snapshot time and always
+    present (zero when the source is off or unavailable), independent of the
+    tracing switch — like the canonical bridge, their shape is part of the
+    observable API.
     """
     from repro.graph.canonical import cache_stats
     from repro.obs.histogram import histogram_summaries
@@ -185,12 +185,6 @@ def full_snapshot() -> Dict[str, Dict[str, Any]]:
     out["gauges"]["canonical.lru_size"] = size if \
         isinstance(size, (int, float)) else 0
     out["gauges"]["proc.rss_bytes"] = _rss_bytes()
-    try:
-        from repro.core.pool import arena_segment_bytes
-
-        out["gauges"]["arena.segment_bytes"] = arena_segment_bytes()
-    except Exception:
-        out["gauges"]["arena.segment_bytes"] = 0
     from repro.obs.profiler import PROFILER
 
     out["gauges"]["tracemalloc.peak_bytes"] = PROFILER.tracemalloc_peak_bytes()

@@ -17,9 +17,9 @@ sampler (seeded through the :mod:`repro.obs.snapshot` worker-delta
 protocol) and their samples merge home tagged with the worker's name, so
 pooled VF2 chunks appear in the parent's profile under the same request id.
 
-The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): actions and the
-arena build are bracketed with ``tracemalloc`` snapshots and the
-top-N allocating lines (by size delta) are kept per site.
+The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): engine actions are
+bracketed with ``tracemalloc`` snapshots and the top-N allocating lines (by
+size delta) are kept per site.
 
 Everything here is pure stdlib.  The off-path cost is one attribute check
 per action (:data:`_NOOP` is shared), bounded like every other obs surface
@@ -401,9 +401,8 @@ _NOOP = _NoopScope()
 
 
 def profile_action(name: str) -> Any:
-    """Scope an action (or a hot block such as ``arena.build``) for sample
-    attribution and, with the memory tier on, a ``tracemalloc`` bracket
-    keyed ``action.<name>``.
+    """Scope an engine action for sample attribution and, with the memory
+    tier on, a ``tracemalloc`` bracket keyed ``action.<name>``.
 
     Composes with the action's timed region on one line::
 

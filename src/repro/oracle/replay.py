@@ -56,7 +56,7 @@ class OracleConfig:
 REFERENCE_CONFIG = OracleConfig(canonical_cache=True, workers=1)
 
 #: Matrix: canonical cache on/off × workers 1/3 (3 workers dispatch to the
-#: warm pool over the shared-memory arena).
+#: warm pool).
 CONFIG_MATRIX: Tuple[OracleConfig, ...] = tuple(
     OracleConfig(canonical_cache=c, workers=w)
     for c, w in itertools.product((True, False), (1, 3))

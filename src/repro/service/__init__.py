@@ -4,8 +4,8 @@ The engine was a library plus CLIs; "many concurrent users" needs one
 process holding many formulation sessions.  The split (ROADMAP item 1):
 
 * :class:`~repro.core.plane.SharedPlane` — the immutable half (db, A2F/A2I
-  indexes, mined fragments, shared-memory arena), built once and shared
-  read-only by every session;
+  indexes, mined fragments), built once and shared read-only by every
+  session;
 * :class:`~repro.service.sessions.SessionManager` — the mutable half: one
   :class:`~repro.core.undo.UndoableEngine` per session id behind TTL
   eviction, a max-sessions admission gate and per-session action locks;

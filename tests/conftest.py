@@ -40,18 +40,3 @@ def medium_params():
 def medium_indexes(medium_db, medium_params):
     return build_indexes(medium_db, medium_params)
 
-
-@pytest.fixture
-def small_arena(small_db):
-    """The published shared-memory arena over ``small_db``, for tests that
-    dispatch to the warm pool directly (``_run_batch``, ``WarmPool.map``).
-
-    The arena registry owns it: ``repro.core.pool.shutdown()`` (also run at
-    interpreter exit) unlinks the segment.
-    """
-    from repro.core import pool
-
-    arena = pool.arena_for(small_db)
-    if arena is None:
-        pytest.skip("shared memory unavailable on this platform")
-    return arena

@@ -165,14 +165,14 @@ class TestSimVerifyMatcherParity:
 # ----------------------------------------------------------------------
 # 4. _run_batch pool failure falls back to the serial path
 # ----------------------------------------------------------------------
-def _chunk_len_worker(payload):
+def _chunk_len_worker(db, payload):
     """Module-level (hence picklable) worker used by the fallback tests."""
     chunk, transform = payload
     return [transform(gid) for gid in chunk]
 
 
 class TestRunBatchFallback:
-    def test_unpicklable_payload_falls_back_serially(self, small_arena):
+    def test_unpicklable_payload_falls_back_serially(self, small_db):
         ids = list(range(64))
         with pytest.warns(RuntimeWarning, match="serial"):
             out = verif._run_batch(
@@ -180,11 +180,11 @@ class TestRunBatchFallback:
                 lambda chunk: (chunk, lambda gid: gid),  # lambda: unpicklable
                 ids,
                 workers=4,
-                arena=small_arena,
+                db=small_db,
             )
         assert out == ids
 
-    def test_picklable_payload_does_not_warn(self, small_arena):
+    def test_picklable_payload_does_not_warn(self, small_db):
         ids = list(range(64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -193,7 +193,7 @@ class TestRunBatchFallback:
                 lambda chunk: (chunk, int),
                 ids,
                 workers=2,
-                arena=small_arena,
+                db=small_db,
             )
         assert out == ids
 

@@ -1,19 +1,25 @@
-"""The warm verification pool and the shared-memory arena, end to end.
+"""The warm verification pool, end to end.
 
 Lifecycle (spawn once, reuse, respawn on reconfigure/TTL/breakage), the
-candidate-count floor, arena invalidation on ``db.add()``, the postmortem
-rate limiter, and answer invariance: serial and warm-pool verification must
-return byte-identical results — through plain ``verify_batch`` calls and
-through the differential oracle's full-session replay.
+candidate-count floor, the respawn on ``db.add()`` and the worker-side
+database length check, the postmortem rate limiter, worker signals and
+killed workers, and answer invariance: serial and warm-pool verification
+must return byte-identical results — through plain ``verify_batch`` calls
+and through the differential oracle's full-session replay.
 """
 
+import json
 import os
+import signal
+import subprocess
+import sys
 import time
 import warnings
 from unittest import mock
 
 import pytest
 
+import repro
 import repro.core.pool as pool_mod
 import repro.core.verification as verif
 from repro import obs
@@ -98,20 +104,18 @@ class TestWarmPoolLifecycle:
         assert counters.get("verify.pool.expired", 0) == 0
         assert counters.get("verify.pool.reuses", 0) == 1
 
-    def test_broken_pool_is_respawned_on_next_dispatch(
-        self, corpus, small_arena
-    ):
+    def test_broken_pool_is_respawned_on_next_dispatch(self, corpus):
         ids = list(range(32))
-        with pytest.warns(RuntimeWarning, match="serial"):
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
             out = verif._run_batch(
-                _identity_worker,
-                lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
+                _exit_in_worker,
+                lambda chunk: (chunk, os.getpid()),
                 ids,
                 workers=2,
-                arena=small_arena,
+                db=corpus,
             )
         assert out == ids
-        # The failed dispatch tore the pool down; the next one respawns
+        # The dead worker broke the pool; the next dispatch respawns it
         # cleanly and succeeds without a fallback.
         query = _query(corpus, seed=4)
         with obs.trace():
@@ -122,22 +126,10 @@ class TestWarmPoolLifecycle:
                 )
             counters = obs.full_snapshot()["counters"]
         assert counters.get("verify.pool.fallbacks", 0) == 0
+        assert counters.get("verify.pool.respawns", 0) == 1
         assert pooled == verify_batch(
             query, list(corpus.ids()), corpus, workers=1
         )
-
-    def test_shutdown_unlinks_published_arenas(self, corpus):
-        from multiprocessing import shared_memory
-
-        query = _query(corpus, seed=5)
-        verify_batch(query, list(corpus.ids()), corpus, workers=2)
-        arena = pool_mod.arena_for(corpus)
-        if arena is None:
-            pytest.skip("shared memory unavailable on this platform")
-        name = arena.publish()
-        pool_mod.shutdown()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestDispatchFloor:
@@ -160,42 +152,54 @@ class TestDispatchFloor:
         assert counters.get("verify.pool.runs", 0) == 0
 
 
-class TestArenaPlane:
-    def test_db_add_invalidates_the_arena(self):
+class TestDatabaseGrowth:
+    def test_db_add_respawns_the_pool(self):
         db = small_database(seed=21, num_graphs=20)
-        first = pool_mod.arena_for(db)
-        if first is None:
-            pytest.skip("shared memory unavailable on this platform")
-        version = first.version
-        assert pool_mod.arena_for(db) is first  # stable while db is stable
-        db.add(db[0].copy())
-        second = pool_mod.arena_for(db)
-        assert second is not first
-        assert second.version != version
-        pool_mod.shutdown()
-
-    def test_resolve_distinguishes_mismatch_from_missing_attach(
-        self, monkeypatch
-    ):
-        """Regression: a stale forked worker's version mismatch used to be
-        reported as 'worker initializer failed?'."""
-        class _Stub:
-            version = "stale-version"
-
-            def items(self, ids):  # pragma: no cover - never reached
-                raise AssertionError
-
-        payload = (pool_mod.ARENA_REF, "fresh-version", [1, 2])
-        monkeypatch.setattr(pool_mod, "_WORKER_ARENA", _Stub())
+        query = _query(db, seed=5, edges=3)
         with obs.trace():
-            with pytest.raises(RuntimeError, match="version mismatch"):
-                pool_mod.resolve_items(payload)
+            first = verify_batch(query, list(db.ids()), db, workers=2)
+            assert first, "the query is a subgraph of a database graph"
+            appended = db.add(db[first[0]].copy())
+            second = verify_batch(query, list(db.ids()), db, workers=2)
             counters = obs.full_snapshot()["counters"]
-        assert counters.get("arena.version_mismatch", 0) == 1
+        # Only workers forked after the append can see the new graph.
+        assert second == first + [appended]
+        assert counters.get("verify.pool.spawns", 0) == 2
+        assert counters.get("verify.pool.respawns", 0) == 1
+        assert counters.get("verify.pool.fallbacks", 0) == 0
 
-        monkeypatch.setattr(pool_mod, "_WORKER_ARENA", None)
-        with pytest.raises(RuntimeError, match="no arena attached"):
-            pool_mod.resolve_items(payload)
+    def test_stale_chunk_raises_and_falls_back(self):
+        """A ``db.add()`` that lands after the chunks were cut respawns the
+        pool with more graphs than the chunks claim: the workers refuse
+        them, and the batch is answered serially."""
+        db = small_database(seed=22, num_graphs=20)
+        query = _query(db, seed=6, edges=3)
+        ids = list(db.ids())
+        serial = verify_batch(query, ids, db, workers=1)
+
+        def cut_then_append(chunk):
+            if len(db) == len(ids):
+                db.add(db[0].copy())
+            return (query, chunk)
+
+        RECORDER.force(True)
+        RECORDER.reset()
+        try:
+            with pytest.warns(RuntimeWarning, match="serial"):
+                out = verif._run_batch(
+                    verif._verify_chunk, cut_then_append, ids,
+                    workers=2, db=db,
+                )
+            events = RECORDER.snapshot()
+        finally:
+            RECORDER.force(None)
+            RECORDER.reset()
+        assert out == serial
+        fallback = next(e for e in events if e["kind"] == "pool.fallback")
+        assert fallback["cause"] == (
+            "RuntimeError: database length mismatch: the worker holds "
+            f"{len(ids) + 1} graphs but the chunk was cut from {len(ids)}"
+        )
 
 
 class TestAnswerInvariance:
@@ -229,7 +233,7 @@ class TestAnswerInvariance:
 
 
 class TestPostmortemRateLimit:
-    def test_one_bundle_per_exception_type(self, tmp_path, small_arena):
+    def test_one_bundle_per_exception_type(self, tmp_path, small_db):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
         RECORDER.reset()
@@ -244,7 +248,7 @@ class TestPostmortemRateLimit:
                             lambda chunk: (chunk, lambda g: g),
                             list(range(32)),
                             workers=2,
-                            arena=small_arena,
+                            db=small_db,
                         )
         finally:
             RECORDER.force(None)
@@ -252,7 +256,7 @@ class TestPostmortemRateLimit:
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
     def test_unwritten_bundle_does_not_consume_the_slot(
-        self, tmp_path, small_arena
+        self, tmp_path, small_db
     ):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
@@ -266,7 +270,7 @@ class TestPostmortemRateLimit:
                         lambda chunk: (chunk, lambda g: g),
                         list(range(16)),
                         workers=2,
-                        arena=small_arena,
+                        db=small_db,
                     )
             # ...so the same exception type still dumps once a dir exists.
             with mock.patch.dict(
@@ -278,14 +282,14 @@ class TestPostmortemRateLimit:
                         lambda chunk: (chunk, lambda g: g),
                         list(range(16)),
                         workers=2,
-                        arena=small_arena,
+                        db=small_db,
                     )
         finally:
             RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
-    def test_reset_reopens_the_slot(self, tmp_path, small_arena):
+    def test_reset_reopens_the_slot(self, tmp_path, small_db):
         verif.reset_postmortem_limiter()
         RECORDER.force(True)
         RECORDER.reset()
@@ -301,7 +305,7 @@ class TestPostmortemRateLimit:
                             lambda chunk: (chunk, lambda g: g),
                             list(range(16)),
                             workers=2,
-                            arena=small_arena,
+                            db=small_db,
                         )
         finally:
             RECORDER.force(None)
@@ -309,9 +313,52 @@ class TestPostmortemRateLimit:
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 2
 
 
-def _identity_worker(payload):
+def _identity_worker(db, payload):
     chunk, transform = payload
     return [transform(gid) for gid in chunk]
+
+
+def _exit_in_worker(db, payload):
+    """Dies on a pool worker; the in-process fallback returns the ids."""
+    chunk, parent = payload
+    if os.getpid() != parent:
+        os._exit(1)
+    return list(chunk)
+
+
+
+
+def _run_child(script, tmp_path, timeout=30.0):
+    """Run ``script`` in a fresh interpreter and process group.
+
+    Returns its JSON output lines, its stderr and its exit code (``None``
+    when it was still running at ``timeout``).  Output goes to files, not
+    pipes: a worker the child leaves behind would hold a pipe open.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "mark")],
+            stdout=out, stderr=err, env=env, start_new_session=True,
+        )
+    try:
+        returncode = proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        returncode = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    lines = [json.loads(line) for line in out_path.read_text().splitlines()
+             if line]
+    return lines, err_path.read_text(), returncode
 
 
 _SIGTERM_CHILD = r"""
@@ -323,8 +370,9 @@ signal.signal(signal.SIGTERM, lambda signum, frame: None)
 from multiprocessing.connection import wait
 
 from repro.core.pool import WarmPool
-from repro.index.arena import IndexArena
 from repro.testing import small_database
+
+db = small_database(seed=0, num_graphs=4)
 
 
 def rendezvous(prefix):
@@ -341,47 +389,36 @@ def busy(marker):
     time.sleep(60)
 
 
-# The workers attach to a published arena.  os._exit below skips the atexit
-# unlink, so this process disposes of the segment itself.
-arena = IndexArena.build(small_database(seed=0, num_graphs=4))
-assert arena.publish() is not None, "shared memory unavailable"
-try:
-    # 1. Idle workers die on SIGTERM.  (This pool is left behind: CPython's
-    #    pool cannot recover from a worker killed while it held the
-    #    task-queue lock, which an idle worker always does.)
-    idle = WarmPool()
-    pids = idle.map(rendezvous, [sys.argv[1] + ".ready"] * 2, 2, arena)
-    assert len(set(pids)) == 2
-    workers = list(idle._pool._pool)
-    for proc in workers:
-        os.kill(proc.pid, signal.SIGTERM)
-    # Exit shows on each worker's sentinel; its exit code is no witness,
-    # since the pool's own thread may reap the worker first.
-    pending = {proc.sentinel: proc.pid for proc in workers}
-    deadline = time.monotonic() + 5.0
-    while pending and time.monotonic() < deadline:
-        for ready in wait(list(pending), timeout=deadline - time.monotonic()):
-            del pending[ready]
-    survivors = sorted(pending.values())
-    print(json.dumps({"survivors": survivors}), flush=True)
+# 1. Idle workers die on SIGTERM, and their pool still shuts down.
+idle = WarmPool()
+pids = idle.map(rendezvous, [sys.argv[1] + ".ready"] * 2, 2, db)
+assert len(set(pids)) == 2
+workers = list(idle._executor._processes.values())
+for proc in workers:
+    os.kill(proc.pid, signal.SIGTERM)
+# Exit shows on each worker's sentinel; its exit code is no witness, since
+# the executor's own thread may reap the worker first.
+pending = {proc.sentinel: proc.pid for proc in workers}
+deadline = time.monotonic() + 5.0
+while pending and time.monotonic() < deadline:
+    for ready in wait(list(pending), timeout=deadline - time.monotonic()):
+        del pending[ready]
+idle.shutdown()
+print(json.dumps({"survivors": sorted(pending.values())}), flush=True)
 
-    # 2. shutdown() returns while workers are mid-task: terminate() takes
-    #    the task-queue lock for good, so only SIGTERM can stop these
-    #    workers.
-    pool = WarmPool()
-    assert pool.map(abs, [-1, -2], 2, arena) == [1, 2]
-    markers = [sys.argv[1] + f".{i}" for i in range(2)]
-    pool._pool.map_async(busy, markers, chunksize=1)
-    deadline = time.monotonic() + 5.0
-    while not all(os.path.exists(m) for m in markers):
-        assert time.monotonic() < deadline, "workers never started"
-        time.sleep(0.01)
-    start = time.monotonic()
-    pool.shutdown()
-    print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
-finally:
-    arena.dispose()
-os._exit(0)
+# 2. shutdown() returns while workers are mid-task.
+pool = WarmPool()
+assert pool.map(abs, [-1, -2], 2, db) == [1, 2]
+markers = [sys.argv[1] + f".{i}" for i in range(2)]
+for marker in markers:
+    pool._executor.submit(busy, marker)
+deadline = time.monotonic() + 5.0
+while not all(os.path.exists(m) for m in markers):
+    assert time.monotonic() < deadline, "workers never started"
+    time.sleep(0.01)
+start = time.monotonic()
+pool.shutdown()
+print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
 """
 
 
@@ -389,42 +426,76 @@ class TestWorkerSignals:
     def test_workers_die_on_sigterm_under_a_parent_handler(self, tmp_path):
         """A parent with a Python SIGTERM handler (the service) forks its
         workers after installing it; the workers must still die on SIGTERM,
-        or ``Pool.terminate()`` (which joins without a timeout) hangs."""
-        import json
-        import signal
-        import subprocess
-        import sys
+        which is how ``shutdown()`` stops them, busy or idle."""
+        lines, err, returncode = _run_child(_SIGTERM_CHILD, tmp_path)
+        assert lines, f"child printed nothing (stderr: {err[-500:]})"
+        assert lines[0]["survivors"] == [], "workers survived SIGTERM"
+        assert len(lines) == 2, "shutdown() hung with busy workers"
+        assert lines[1]["shutdown_s"] < 5.0
+        # A clean exit: no pool was left behind for interpreter exit to join.
+        assert returncode == 0, err[-500:]
 
-        import repro
 
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        # Output goes to files, not pipes: the left-behind pool's workers
-        # inherit them and would hold a pipe open until they are killed.
-        out_path, err_path = tmp_path / "out", tmp_path / "err"
-        with open(out_path, "w") as out, open(err_path, "w") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-c", _SIGTERM_CHILD, str(tmp_path / "busy")],
-                stdout=out, stderr=err, env=env, start_new_session=True,
-            )
-        try:
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                pass
-            out, err = out_path.read_text(), err_path.read_text()
-            lines = [json.loads(line) for line in out.splitlines() if line]
-            assert lines, f"child printed nothing (stderr: {err[-500:]})"
-            assert lines[0]["survivors"] == [], "workers survived SIGTERM"
-            assert len(lines) == 2, "shutdown() hung with busy workers"
-            assert lines[1]["shutdown_s"] < 5.0
-            assert proc.returncode == 0, err[-500:]
-        finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+_IDLE_KILL_CHILD = r"""
+import json, multiprocessing, os, signal, time
+from multiprocessing.connection import wait
+
+os.environ["REPRO_POOL_MIN_CANDIDATES"] = "1"
+
+from repro import obs
+from repro.core import pool
+from repro.core.verification import verify_batch
+from repro.testing import small_database
+
+db = small_database(seed=0, num_graphs=30)
+query, ids = db[0], list(db.ids())
+serial = verify_batch(query, ids, db, workers=1)
+assert verify_batch(query, ids, db, workers=2) == serial  # spawns the pool
+
+workers = multiprocessing.active_children()
+assert len(workers) == 2, workers
+for proc in workers:
+    os.kill(proc.pid, signal.SIGKILL)
+pending = [proc.sentinel for proc in workers]
+deadline = time.monotonic() + 5.0
+while pending and time.monotonic() < deadline:
+    for ready in wait(pending, timeout=max(0.0, deadline - time.monotonic())):
+        pending.remove(ready)
+assert not pending, "workers survived SIGKILL"
+
+start = time.monotonic()
+answer = verify_batch(query, ids, db, workers=2)
+print(json.dumps({"run_s": time.monotonic() - start,
+                  "correct": answer == serial}), flush=True)
+
+start = time.monotonic()
+pool.shutdown()
+print(json.dumps({"shutdown_s": time.monotonic() - start}), flush=True)
+
+with obs.trace():
+    answer = verify_batch(query, ids, db, workers=2)
+    counters = obs.full_snapshot()["counters"]
+pool.shutdown()
+print(json.dumps({"correct": answer == serial,
+                  "spawns": counters.get("verify.pool.spawns", 0),
+                  "fallbacks": counters.get("verify.pool.fallbacks", 0)}),
+      flush=True)
+"""
+
+
+class TestKilledWorkers:
+    def test_run_after_idle_workers_die_falls_back_then_recovers(
+        self, tmp_path
+    ):
+        """SIGKILL to both idle workers of a warm pool: the next pooled Run
+        returns the serial answer promptly, ``shutdown()`` returns, and the
+        Run after that is served by a fresh pool."""
+        lines, err, returncode = _run_child(_IDLE_KILL_CHILD, tmp_path)
+        assert lines, f"the Run after the kill hung (stderr: {err[-500:]})"
+        assert lines[0]["correct"]
+        assert lines[0]["run_s"] < 10.0
+        assert len(lines) >= 2, f"shutdown() hung (stderr: {err[-500:]})"
+        assert lines[1]["shutdown_s"] < 5.0
+        assert len(lines) == 3, err[-500:]
+        assert lines[2] == {"correct": True, "spawns": 1, "fallbacks": 0}
+        assert returncode == 0, err[-500:]

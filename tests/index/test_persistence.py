@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.config import MiningParams
 from repro.graph import canonical
+from repro.graph.database import GraphDatabase
+from repro.graph.labeled_graph import Graph
 from repro.index import (
     a2f_size_bytes,
     a2i_size_bytes,
@@ -47,6 +49,29 @@ class TestSizes:
         # beta=2, max_edges=4 -> DF fragments exist in this corpus
         assert parts["df_bytes"] > 0
 
+    def test_sizes_ignore_label_object_identity(self):
+        """Pickle memoizes by identity: equal label strings that are
+        distinct objects must not cost bytes of their own."""
+        def relabelled(db):
+            graphs = []
+            for g in db:
+                h = Graph()
+                for node in g.nodes():
+                    h.add_node(node, "".join(["", g.label(node)]))
+                for u, v in g.edges():
+                    h.add_edge(u, v, g.edge_label(u, v))
+                graphs.append(h)
+            return GraphDatabase(graphs)
+
+        params = MiningParams(0.2, 3, 3)
+        sizes = []
+        for db in (small_database(seed=5, num_graphs=12),
+                   relabelled(small_database(seed=5, num_graphs=12))):
+            canonical.clear_cache()
+            idx = build_indexes(db, params)
+            sizes.append((a2f_size_bytes(idx), a2i_size_bytes(idx)))
+        assert sizes[0] == sizes[1]
+
 
 class TestSaveLoad:
     def test_round_trip(self, idx, tmp_path):
@@ -76,12 +101,6 @@ class TestSaveLoadProperty:
         """Property: for any mined corpus, indexes loaded from the pickle
         format answer every A2F/A2I probe like the live indexes and account
         for the same sizes."""
-        # Size accounting pickles the index objects, so it sees whether equal
-        # label strings are one object.  Codes served from the process-wide
-        # canonical LRU can carry label strings of graphs an earlier test
-        # built, which unpickling folds back into one object; start empty so
-        # the live codes are this corpus's own.
-        canonical.clear_cache()
         corpus = small_database(seed=seed, num_graphs=12, max_nodes=5)
         idx = build_indexes(corpus, MiningParams(0.25, 2, 4))
         out = tmp_path_factory.mktemp(f"fmt-{seed}")

@@ -36,7 +36,7 @@ def _recorder_on():
     obs.sync_env()
 
 
-def _chunk_worker(payload):
+def _chunk_worker(db, payload):
     """Module-level (hence picklable) worker for the fallback test."""
     chunk, transform = payload
     return [transform(gid) for gid in chunk]
@@ -44,7 +44,7 @@ def _chunk_worker(payload):
 
 class TestPoolFallbackBundle:
     def test_fallback_writes_a_renderable_bundle(
-        self, tmp_path, capsys, small_arena
+        self, tmp_path, capsys, small_db
     ):
         with mock.patch.dict(
             os.environ, {"REPRO_POSTMORTEM_DIR": str(tmp_path)}
@@ -55,7 +55,7 @@ class TestPoolFallbackBundle:
                     lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
                     list(range(32)),
                     workers=2,
-                    arena=small_arena,
+                    db=small_db,
                 )
         assert out == list(range(32))
         bundles = sorted(tmp_path.glob("postmortem-*.json"))
@@ -75,7 +75,7 @@ class TestPoolFallbackBundle:
         assert "pool-fallback" in rendered
         assert "pool.run" in rendered
 
-    def test_no_dir_means_no_files(self, tmp_path, small_arena):
+    def test_no_dir_means_no_files(self, tmp_path, small_db):
         with mock.patch.dict(os.environ, {"REPRO_POSTMORTEM_DIR": ""}):
             with pytest.warns(RuntimeWarning, match="serial"):
                 verif._run_batch(
@@ -83,7 +83,7 @@ class TestPoolFallbackBundle:
                     lambda chunk: (chunk, lambda g: g),
                     list(range(8)),
                     workers=2,
-                    arena=small_arena,
+                    db=small_db,
                 )
         assert list(tmp_path.iterdir()) == []
 

@@ -66,7 +66,7 @@ class TestSamplerLifecycle:
         assert not PROFILER.enabled
         assert PROFILER.hz == 0.0
         assert profile_action("new") is _NOOP
-        assert profile_action("arena.build") is _NOOP
+        assert profile_action("run") is _NOOP
 
     def test_force_starts_sampling_and_none_stops_it(self):
         PROFILER.force(500.0)
@@ -164,7 +164,7 @@ class TestWorkerMerge:
                 "action": "verify.chunk",
                 "stacks": {"repro/core/verification.py:_verify_chunk": 3},
             }],
-            "memory": {"action.arena.build": {"top": [], "peak_bytes": 7}},
+            "memory": {"action.run": {"top": [], "peak_bytes": 7}},
         }
         PROFILER.merge(delta_profile, source="pid-123")
         merged = PROFILER.slice_for_request("req-9")
@@ -173,7 +173,7 @@ class TestWorkerMerge:
         }
         assert PROFILER.samples == 3
         profile = PROFILER.collect()
-        assert "action.arena.build.pid-123" in profile["memory"]
+        assert "action.run.pid-123" in profile["memory"]
         # merging the same delta again accumulates — counts are additive
         PROFILER.merge(delta_profile, source="pid-123")
         assert sum(PROFILER.slice_for_request("req-9").values()) == 6
@@ -264,7 +264,6 @@ class TestMemoryGauges:
         snapshot = obs.full_snapshot()
         gauges = snapshot["gauges"]
         assert gauges["proc.rss_bytes"] > 0
-        assert gauges["arena.segment_bytes"] >= 0
         assert gauges["tracemalloc.peak_bytes"] >= 0
 
 

@@ -174,19 +174,19 @@ class TestAnswersByteIdenticalAcrossWorkerCounts:
         assert divergence is None
 
 
-def _raising_chunk_worker(payload):
+def _raising_chunk_worker(db, payload):
     """Module-level (picklable) worker that dies inside the pool."""
     raise ValueError(f"boom while testing chunk {payload!r}")
 
 
 class TestFallbackCarriesWorkerTraceback:
     def test_worker_side_failure_attaches_the_worker_traceback(
-        self, small_arena
+        self, small_db
     ):
-        """When the chunk worker itself raises, ``multiprocessing`` hands the
-        parent a RemoteTraceback — the ``pool.fallback`` event must preserve
-        that worker-side text (satellite bugfix: previously only the parent's
-        re-raise frame survived)."""
+        """When the chunk worker itself raises, ``concurrent.futures`` hands
+        the parent a ``_RemoteTraceback`` — the ``pool.fallback`` event must
+        preserve that worker-side text (only the parent's re-raise frame
+        used to survive) and name the worker's exception as its cause."""
         RECORDER.force(True)
         RECORDER.reset()
         try:
@@ -198,7 +198,7 @@ class TestFallbackCarriesWorkerTraceback:
                         lambda chunk: list(chunk),
                         list(range(32)),
                         workers=2,
-                        arena=small_arena,
+                        db=small_db,
                     )
             events = RECORDER.snapshot()
         finally:
@@ -208,8 +208,11 @@ class TestFallbackCarriesWorkerTraceback:
         assert "worker_traceback" in fallback
         assert "boom while testing chunk" in fallback["worker_traceback"]
         assert "_raising_chunk_worker" in fallback["worker_traceback"]
+        # The cause leads with the worker's exception, not the quote line
+        # that wraps the remote traceback.
+        assert fallback["cause"].startswith("ValueError: boom")
 
-    def test_parent_side_failure_has_no_worker_traceback(self, small_arena):
+    def test_parent_side_failure_has_no_worker_traceback(self, small_db):
         """Unpicklable payloads fail before any worker runs — no remote
         frame exists, and the event must not carry a fabricated one."""
         RECORDER.force(True)
@@ -221,7 +224,7 @@ class TestFallbackCarriesWorkerTraceback:
                     lambda chunk: (chunk, lambda g: g),  # lambda: unpicklable
                     list(range(32)),
                     workers=2,
-                    arena=small_arena,
+                    db=small_db,
                 )
             events = RECORDER.snapshot()
         finally:
@@ -233,6 +236,6 @@ class TestFallbackCarriesWorkerTraceback:
         assert "traceback" in fallback  # the parent-side trace still rides
 
 
-def _chunk_identity(payload):
+def _chunk_identity(db, payload):
     chunk, transform = payload
     return [transform(gid) for gid in chunk]

@@ -2,9 +2,9 @@
 
 Two matrix cells that grow the database behind the indexes' back:
 
-* after the arena was built and warmed, one graph is appended; the pooled
+* after a pooled replay warmed the pool, one graph is appended; the pooled
   replay must still match the serial reference observation-for-observation
-  (the arena is rebuilt for the new version);
+  (the pool is respawned with the grown database);
 * a copy of every graph is appended with a bare ``db.add()`` — one that no
   :class:`~repro.index.maintenance.IncrementalIndexMaintainer` saw, so no
   FSG-id list mentions the copies — and every fuzzed session must still
@@ -19,6 +19,7 @@ import warnings
 import pytest
 
 import repro.core.pool as pool_mod
+from repro import obs
 from repro.index import build_indexes
 from repro.oracle import fresh_replay_check, naive_baseline_check
 from repro.oracle.corpus import CorpusSpec, OracleCorpus
@@ -51,34 +52,36 @@ def _private_corpus(spec: CorpusSpec) -> OracleCorpus:
 
 def test_db_add_invalidation_keeps_pooled_run_parity():
     spec = CorpusSpec(seed=31)
-    trace = generate_trace(seed=17, spec=spec)
+    trace = generate_trace(seed=3, spec=spec)  # two Runs that verify
     corpus = _private_corpus(spec)
     pooled = OracleConfig(workers=3)
 
-    # First pooled replay: leaves a published arena behind.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        replay_trace(trace, pooled, corpus=corpus)
-    arena = pool_mod.arena_for(corpus.db)
-    if arena is None:
-        pytest.skip("shared memory unavailable on this platform")
+    # First pooled replay: leaves a warm pool behind.
+    with obs.trace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            replay_trace(trace, pooled, corpus=corpus)
+        warm = obs.full_snapshot()["counters"]
+    assert warm.get("verify.pool.spawns", 0) == 1
+    assert warm.get("verify.pool.reuses", 0) >= 1
 
-    corpus.db.add(corpus.db[0].copy())  # invalidates on next arena_for
+    corpus.db.add(corpus.db[0].copy())  # respawns on the next dispatch
 
     reference = replay_trace(trace, OracleConfig(workers=1), corpus=corpus)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        cell = replay_trace(trace, pooled, corpus=corpus)
+    with obs.trace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cell = replay_trace(trace, pooled, corpus=corpus)
+        grown = obs.full_snapshot()["counters"]
     divergence = first_divergence(
         reference.observations, cell.observations,
         "workers=1", cell.config.name,
     )
     assert divergence is None
-
-    rebuilt = pool_mod.arena_for(corpus.db)
-    assert rebuilt is not arena
-    assert rebuilt.version != arena.version
-    assert rebuilt.db_size == len(corpus.db)
+    # One respawn for the grown database, and never a fallback.
+    assert grown.get("verify.pool.spawns", 0) == 1
+    assert grown.get("verify.pool.respawns", 0) == 1
+    assert grown.get("verify.pool.fallbacks", 0) == 0
 
 
 def test_bare_appends_reach_every_answer():
