@@ -75,7 +75,7 @@ def run_perf_suite(seed: int = 2012) -> Dict[str, float]:
       codes, compiled containment scan, bitset intersection);
     * ``obs.probe_loop_s`` — the combined per-call probe loops of the
       observability primitives a site calls (a ``timed`` region with
-      tracing off, a disabled count, sync, enabled histogram/recorder),
+      tracing off, a disabled count, enabled histogram/recorder),
       i.e. the cost bounded by ``bench_obs_overhead``;
     * ``pool.warm_dispatch_s`` — one smoke-scale warm-pool dispatch over
       the same corpus (the cost measured by ``bench_pool_warmup``);
@@ -244,10 +244,10 @@ def sample_replays(
     from repro.oracle.trace import apply_action
 
     corpus = corpus_for(trace.spec)
+    saved_hz, saved_mem = PROFILER.hz, PROFILER.mem_topn
     PROFILER.reset()
-    PROFILER.force(hz)
-    if mem:
-        PROFILER.force_mem(mem)
+    PROFILER.set_hz(hz)
+    PROFILER.mem_topn = max(int(mem), 0)
     start = time.perf_counter()
     replays = 0
     try:
@@ -262,9 +262,8 @@ def sample_replays(
             if wall_s >= min_seconds or replays >= 1000:
                 break
     finally:
-        PROFILER.force(None)
-        if mem:
-            PROFILER.force_mem(None)
+        PROFILER.set_hz(saved_hz)
+        PROFILER.mem_topn = saved_mem
     profile, stacks = PROFILER.collect(), PROFILER.stacks()
     PROFILER.reset()
     return profile, stacks, replays, wall_s

@@ -8,15 +8,15 @@ This module turns both claims into numbers:
 
 * **per-call costs** — tight-loop timings of a ``timed()`` region with
   tracing off (two clock reads plus its histogram sample), a disabled
-  ``count()``, a ``sync_env()`` call, an *enabled* histogram ``observe()``
+  ``count()``, an *enabled* histogram ``observe()``
   (the per-candidate sample inside verification, which is not a region)
   and an *enabled* recorder ``record()`` (the costlier of the recorder's
   two entry points; deduplicated ``transition()`` probes are cheaper),
   each with the empty-loop baseline subtracted;
 * **per-session obs-call volume** — one traced replay of a fuzzed session
   counts how many regions (every region is a span while tracing), counter
-  increments, env syncs, per-candidate samples (histogram observations
-  that are not a region's) and recorder calls a session actually fires
+  increments, per-candidate samples (histogram observations that are not
+  a region's) and recorder calls a session actually fires
   (counter increments via ``amount > 1`` are over-counted per unit, and
   every recorder call is charged the full ``record()`` price, which only
   makes the bound more conservative);
@@ -30,9 +30,9 @@ This module turns both claims into numbers:
   telemetry charged on top: recorder calls priced inside an active request
   scope, plus one access-log event, two SLO samples and one request-ring
   entry per HTTP request (one request per state-changing gesture);
-* **the export-on posture** — the same bound with ``REPRO_OBS_EXPORT``
-  streaming: ``sync_env`` and ``record`` are re-probed with the continuous
-  exporter active, and the session's *actually streamed* event volume is
+* **the export-on posture** — the same bound with the continuous exporter
+  streaming: ``record`` is re-probed with the exporter active, and the
+  session's *actually streamed* event volume is
   counted under a real exporting replay (streak-compressed transitions
   never reach ``emit``, so charging every recorder call the emit price
   would be wrong by an order of magnitude);
@@ -49,17 +49,18 @@ emits ``benchmarks/results/obs_overhead.json``.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
+from contextlib import contextmanager
 from typing import Any, Dict
 
 from repro import obs
 from repro.core.prague import PragueEngine
+from repro.obs.exporter import EXPORTER
 from repro.obs.histogram import HISTOGRAMS, observe, total_observations
 from repro.obs.metrics import count
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import sync_env, timed
+from repro.obs.tracer import TRACER, timed
 
 #: Iterations for the tight no-op loops (cheap: ~a few ms total).
 NOOP_LOOP = 200_000
@@ -75,6 +76,35 @@ SAMPLER_HZ = 50.0
 #: Replays per sampler A/B side; more than SESSION_REPEATS because the
 #: sampled difference is small relative to scheduler noise.
 SAMPLER_REPEATS = 7
+
+
+@contextmanager
+def _posture(trace: bool, recorder: bool):
+    """Set the tracer and recorder switches for a block, then restore them
+    (the recorder's ring is emptied on the way out)."""
+    saved = TRACER.enabled, RECORDER.enabled
+    TRACER.enabled, RECORDER.enabled = trace, recorder
+    try:
+        yield
+    finally:
+        TRACER.enabled, RECORDER.enabled = saved
+        RECORDER.reset()
+
+
+@contextmanager
+def _exporting():
+    """Stream to a temporary directory for a block, rewriting the metrics
+    files at most hourly — the posture under measurement is *streaming
+    events*, so a per-action ``tick`` costs one monotonic-clock probe."""
+    saved = EXPORTER.directory, EXPORTER.interval_s
+    with tempfile.TemporaryDirectory(prefix="repro-obs-export-") as tmp:
+        EXPORTER.export_to(tmp)
+        EXPORTER.interval_s = 3600.0
+        try:
+            yield
+        finally:
+            EXPORTER.export_to(saved[0])
+            EXPORTER.interval_s = saved[1]
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -94,9 +124,7 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
     ``observe`` and recorder ``record`` are probed *enabled* (their default
     — they are the always-on layer whose live cost the bound must cover).
     """
-    obs.TRACER.force(False)
-    RECORDER.force(True)
-    try:
+    with _posture(trace=False, recorder=True):
         r = range(loop)
 
         def baseline() -> None:
@@ -112,10 +140,6 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
             for _ in r:
                 count("bench.noop")
 
-        def sync_loop() -> None:
-            for _ in r:
-                sync_env()
-
         def observe_loop() -> None:
             for _ in r:
                 observe("bench.noop", 1e-6)
@@ -125,18 +149,14 @@ def _noop_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
                 RECORDER.record("bench.noop", probe=1)
 
         base = _best_of(baseline, 3)
-        return {
+        costs = {
             "timed_s": max(0.0, (_best_of(timed_loop, 3) - base)) / loop,
             "count_s": max(0.0, (_best_of(count_loop, 3) - base)) / loop,
-            "sync_s": max(0.0, (_best_of(sync_loop, 3) - base)) / loop,
             "observe_s": max(0.0, (_best_of(observe_loop, 3) - base)) / loop,
             "record_s": max(0.0, (_best_of(record_loop, 3) - base)) / loop,
         }
-    finally:
-        obs.TRACER.force(None)
-        RECORDER.force(None)
-        RECORDER.reset()
-        HISTOGRAMS.pop("bench.noop", None)  # drop the probe histogram
+    HISTOGRAMS.pop("bench.noop", None)  # drop the probe histogram
+    return costs
 
 
 def _service_posture_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
@@ -152,12 +172,10 @@ def _service_posture_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
     from repro.obs.requests import RequestLog, request_scope
     from repro.obs.slo import SloTracker
 
-    obs.TRACER.force(False)
-    RECORDER.force(True)
-    tracker = SloTracker(window_s=3600.0)
-    rlog = RequestLog(size=256)
+    tracker = SloTracker()
+    rlog = RequestLog()
     ids = [f"b{i}" for i in range(1024)]
-    try:
+    with _posture(trace=False, recorder=True):
         r = range(loop)
 
         def baseline() -> None:
@@ -186,52 +204,13 @@ def _service_posture_costs(loop: int = NOOP_LOOP) -> Dict[str, float]:
             "request_log_s":
                 max(0.0, _best_of(request_log_loop, 3) - base) / loop,
         }
-    finally:
-        obs.TRACER.force(None)
-        RECORDER.force(None)
-        RECORDER.reset()
-
-
-def _export_env(directory: str):
-    """Environment patch that turns the continuous exporter on.
-
-    The interval is pinned far out so per-action ``tick``\\ s cost one
-    monotonic-clock probe — the posture under measurement is *streaming
-    events*, not rewriting snapshots in a tight loop.
-    """
-    return {
-        "REPRO_OBS_EXPORT": directory,
-        "REPRO_OBS_EXPORT_INTERVAL": "3600",
-    }
-
-
-def _apply_env(patch: Dict[str, str]) -> Dict[str, Any]:
-    saved = {key: os.environ.get(key) for key in patch}
-    os.environ.update(patch)
-    return saved
-
-
-def _restore_env(saved: Dict[str, Any]) -> None:
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
 
 
 def _export_costs(loop: int = EXPORT_LOOP) -> Dict[str, float]:
-    """Per-call costs with the continuous exporter streaming, baseline
-    subtracted: an *emitting* ``record()`` (append + envelope + JSONL line)
-    and a ``sync_env()`` whose export knobs are set but unchanged — the
-    raw-string cache must keep the latter near its export-off price."""
-    from repro.obs.exporter import EXPORTER
-
-    obs.TRACER.force(False)
-    RECORDER.force(True)
-    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
-    saved = _apply_env(_export_env(tmp.name))
-    EXPORTER.sync_env()
-    try:
+    """Per-call cost of an *emitting* ``record()`` (append + envelope +
+    JSONL line) with the continuous exporter streaming, baseline
+    subtracted."""
+    with _posture(trace=False, recorder=True), _exporting():
         r = range(loop)
 
         def baseline() -> None:
@@ -242,23 +221,12 @@ def _export_costs(loop: int = EXPORT_LOOP) -> Dict[str, float]:
             for _ in r:
                 RECORDER.record("bench.noop", probe=1)
 
-        def sync_loop() -> None:
-            for _ in r:
-                sync_env()
-
         base = _best_of(baseline, 3)
-        return {
+        costs = {
             "record_s": max(0.0, (_best_of(record_loop, 3) - base)) / loop,
-            "sync_s": max(0.0, (_best_of(sync_loop, 3) - base)) / loop,
         }
-    finally:
-        _restore_env(saved)
-        EXPORTER.sync_env()  # closes the handle, deactivates
-        obs.TRACER.force(None)
-        RECORDER.force(None)
-        RECORDER.reset()
-        HISTOGRAMS.pop("bench.noop", None)
-        tmp.cleanup()
+    HISTOGRAMS.pop("bench.noop", None)
+    return costs
 
 
 def _export_session_volume(trace, corpus) -> int:
@@ -268,24 +236,12 @@ def _export_session_volume(trace, corpus) -> int:
     streak-compressed before they reach ``emit``.  This is the volume the
     export-on bound charges at the emitting-``record`` price.
     """
-    from repro.obs.exporter import EXPORTER
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-obs-export-")
-    saved = _apply_env(_export_env(tmp.name))
-    EXPORTER.sync_env()
-    RECORDER.force(True)
     RECORDER.reset()
-    try:
+    with _posture(trace=False, recorder=True), _exporting():
         before = EXPORTER.events_emitted
         with obs.trace():
             _replay(trace, corpus)
         return EXPORTER.events_emitted - before
-    finally:
-        RECORDER.force(None)
-        RECORDER.reset()
-        _restore_env(saved)
-        EXPORTER.sync_env()
-        tmp.cleanup()
 
 
 def _replay(trace, corpus) -> None:
@@ -311,30 +267,22 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     _replay(trace, corpus)  # warm the corpus-level caches once
 
     # Obs-call volume of one session, counted under a real traced replay
-    # (recorder force-enabled so its call counter sees the full stream).
-    RECORDER.force(True)
+    # (recorder enabled so its call counter sees the full stream).
     RECORDER.reset()
-    try:
+    with _posture(trace=False, recorder=True):
         with obs.trace() as tracer:
             _replay(trace, corpus)
             snapshot = obs.METRICS.snapshot()
             observations = total_observations()
         recorder_calls = RECORDER.calls
-    finally:
-        RECORDER.force(None)
-        RECORDER.reset()
     regions = tracer.span_count()
     samples = max(0, observations - regions)  # per-candidate, not regions
     counter_incs = int(sum(snapshot["counters"].values()))
-    action_ops = ("add_edge", "add_pattern", "delete_edge", "delete_edges",
-                  "relabel_node", "enable_similarity", "run")
-    syncs = sum(1 for a in trace.actions if a.op in action_ops)
 
     costs = _noop_costs()
     per_session_s = (
         regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
-        + syncs * costs["sync_s"]
         + samples * costs["observe_s"]
         + recorder_calls * costs["record_s"]
     )
@@ -343,10 +291,12 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     # (charged at whichever of the two record prices is worse), and each
     # HTTP request adds one access-log event, two SLO samples (request
     # outcome + action latency) and one request-ring entry.  One request
-    # per state-changing gesture — the same population as the env syncs.
+    # per state-changing gesture.
     service_costs = _service_posture_costs()
     record_worst = max(costs["record_s"], service_costs["record_scoped_s"])
-    requests = syncs
+    action_ops = ("add_edge", "add_pattern", "delete_edge", "delete_edges",
+                  "relabel_node", "enable_similarity", "run")
+    requests = sum(1 for a in trace.actions if a.op in action_ops)
     per_request_s = (
         service_costs["record_scoped_s"]
         + 2 * service_costs["slo_record_s"]
@@ -355,7 +305,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     per_session_service_s = (
         regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
-        + syncs * costs["sync_s"]
         + samples * costs["observe_s"]
         + recorder_calls * record_worst
         + requests * per_request_s
@@ -368,7 +317,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
     per_session_export_s = (
         regions * costs["timed_s"]
         + counter_incs * costs["count_s"]
-        + syncs * export_costs["sync_s"]
         + samples * costs["observe_s"]
         + (recorder_calls - emitted) * costs["record_s"]
         + emitted * export_costs["record_s"]
@@ -392,15 +340,16 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
 
     canonical.clear_cache()
     sampler_off_s = _best_of(lambda: _replay(trace, corpus), SAMPLER_REPEATS)
+    saved_hz = PROFILER.hz
     PROFILER.reset()
-    PROFILER.force(SAMPLER_HZ)
+    PROFILER.set_hz(SAMPLER_HZ)
     try:
         canonical.clear_cache()
         sampler_on_s = _best_of(
             lambda: _replay(trace, corpus), SAMPLER_REPEATS)
         sampler_samples = PROFILER.samples
     finally:
-        PROFILER.force(None)
+        PROFILER.set_hz(saved_hz)
         PROFILER.reset()
     overhead_sampler_pct = max(
         0.0, 100 * (sampler_on_s - sampler_off_s) / sampler_off_s)
@@ -411,12 +360,10 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         "noop_per_call_ns": {
             "timed": 1e9 * costs["timed_s"],
             "count": 1e9 * costs["count_s"],
-            "sync_env": 1e9 * costs["sync_s"],
             "observe": 1e9 * costs["observe_s"],
             "record": 1e9 * costs["record_s"],
         },
         "noop_per_call_export_ns": {
-            "sync_env": 1e9 * export_costs["sync_s"],
             "record": 1e9 * export_costs["record_s"],
         },
         "noop_per_call_service_ns": {
@@ -427,7 +374,6 @@ def run_obs_overhead(seed: int = 2012) -> Dict[str, Any]:
         "volume_per_session": {
             "regions": regions,
             "counter_increments": counter_incs,
-            "env_syncs": syncs,
             "candidate_samples": samples,
             "recorder_calls": recorder_calls,
             "exported_events": emitted,

@@ -275,11 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sigma", type=int, default=3,
                        help="similarity budget for new sessions")
     serve.add_argument("--max-sessions", type=int, default=None,
-                       help="admission cap (default: "
-                            "$REPRO_SERVICE_MAX_SESSIONS)")
+                       help="admission cap (default: 64)")
     serve.add_argument("--ttl", type=float, default=None,
                        help="idle-session eviction in seconds (default: "
-                            "$REPRO_SERVICE_TTL; 0 disables)")
+                            "1800; 0 disables)")
     return parser
 
 
@@ -320,7 +319,7 @@ def _cmd_index(args) -> int:
     db = read_database(args.database)
     params = MiningParams(args.alpha, args.beta, args.max_edges)
     indexes = build_indexes(db, params)
-    written = save_indexes(indexes, args.out)
+    written = save_indexes(indexes, args.out, db)
     print(f"mined {len(indexes.frequent)} frequent fragments and "
           f"{len(indexes.difs)} DIFs "
           f"(alpha={args.alpha}, support >= {indexes.min_support_abs})")
@@ -329,9 +328,19 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _load_catalog(path: Path, db):
+    """:func:`load_indexes`, ending the command with a one-line error and
+    exit status 1 when the catalog was not saved for ``db``."""
+    try:
+        return load_indexes(path, db)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _cmd_query(args) -> int:
     db = read_database(args.database)
-    indexes = load_indexes(args.indexes)
+    indexes = _load_catalog(args.indexes, db)
     queries = read_database(args.query)
     query_graph = queries[0]
     print(graph_to_text(query_graph, title="query:"))
@@ -356,7 +365,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_session(args) -> int:
     db = read_database(args.database)
-    indexes = load_indexes(args.indexes)
+    indexes = _load_catalog(args.indexes, db)
     engine = PragueEngine(db, indexes, sigma=args.sigma)
     node_of = {}
     for lineno, raw in enumerate(args.script.read_text().splitlines(), 1):
@@ -1003,7 +1012,7 @@ def _cmd_serve(args) -> int:
     if args.database is not None:
         db = read_database(args.database)
         if args.indexes is not None:
-            indexes = load_indexes(args.indexes)
+            indexes = _load_catalog(args.indexes, db)
         else:
             indexes = build_indexes(
                 db, MiningParams(args.alpha, args.beta, args.max_edges)
@@ -1027,8 +1036,8 @@ def _cmd_serve(args) -> int:
     # the server as soon as it reads this line gets a clean exit.
     serve_forever(server, on_ready=lambda: print(
         f"serving PRAGUE sessions on http://{host}:{port} "
-        f"({len(db)} graphs, cap {manager.max_sessions()} sessions, "
-        f"ttl {manager.ttl():g}s)",
+        f"({len(db)} graphs, cap {manager.max_sessions} sessions, "
+        f"ttl {manager.ttl:g}s)",
         flush=True,
     ))
     print("server stopped")

@@ -4,6 +4,13 @@ The paper evaluates on 40 000 real graphs and 10K–80K synthetic graphs on a
 C++/Java stack.  The benches here default to laptop-sized datasets; the
 ``REPRO_SCALE`` environment variable scales them (1.0 ≈ defaults documented in
 EXPERIMENTS.md, larger values approach paper scale).
+
+This module is the one reader of the ``REPRO_*`` environment (ten knobs, see
+``docs/CONFIGURATION.md``).  The hot-path knobs (``REPRO_WORKERS``,
+``REPRO_POOL_MIN_CANDIDATES``, ``REPRO_CANONICAL_CACHE``) and ``REPRO_SCALE``
+are read per call, because the differential oracle varies them inside one
+process.  The observability switches are read once, when their process-wide
+singleton is built; everything else is a constant of the module that uses it.
 """
 
 from __future__ import annotations
@@ -54,16 +61,6 @@ def pool_min_candidates() -> int:
     return max(value, 1)
 
 
-def pool_idle_ttl() -> float:
-    """Seconds an idle warm pool survives before the next dispatch respawns
-    it (``REPRO_POOL_TTL``, default 300, ``0`` disables expiry)."""
-    try:
-        value = float(os.environ.get("REPRO_POOL_TTL", "300"))
-    except ValueError:
-        value = 300.0
-    return max(value, 0.0)
-
-
 def canonical_cache_size() -> int:
     """Bound on the process-wide canonical-code LRU (``REPRO_CANONICAL_CACHE``)."""
     try:
@@ -78,9 +75,9 @@ def trace_enabled() -> bool:
 
     ``REPRO_TRACE=1`` turns tracing on; the default (``0``/unset) is the
     no-op mode, whose per-call overhead is bounded by
-    ``benchmarks/bench_obs_overhead.py``.  The engine re-reads this knob at
-    every GUI action (see :data:`repro.obs.TRACER`), so flipping the variable
-    mid-process takes effect at the next action.
+    ``benchmarks/bench_obs_overhead.py``.  Read once, when
+    :data:`repro.obs.TRACER` is built; :func:`repro.obs.trace` switches
+    tracing on for a block.
     """
     return os.environ.get("REPRO_TRACE", "0") not in ("0", "false", "no", "")
 
@@ -92,24 +89,10 @@ def recorder_enabled() -> bool:
     nobody planned to reproduce (oracle divergences, pool fallbacks), so it
     must already be running when they happen.  ``REPRO_RECORDER=0`` disables
     it; the per-event cost is bounded by
-    ``benchmarks/bench_obs_overhead.py``.  Like ``REPRO_TRACE``, the knob is
-    re-read at every GUI action.
+    ``benchmarks/bench_obs_overhead.py``.  Read once, when
+    :data:`repro.obs.RECORDER` is built.
     """
     return os.environ.get("REPRO_RECORDER", "1") not in ("0", "false", "no")
-
-
-def recorder_size() -> int:
-    """Flight-recorder ring capacity in events (``REPRO_RECORDER_SIZE``).
-
-    The ring keeps the *last* N events; older ones are dropped (the drop
-    count is reported in every post-mortem bundle).  Floor of 16 so a bundle
-    always has enough context to read.
-    """
-    try:
-        value = int(os.environ.get("REPRO_RECORDER_SIZE", "512"))
-    except ValueError:
-        value = 512
-    return max(value, 16)
 
 
 def obs_export_dir():
@@ -120,24 +103,11 @@ def obs_export_dir():
     snapshot (counters, gauges, latency histograms) is periodically rewritten
     as ``metrics.prom`` (Prometheus text format) plus ``snapshot.json``
     (schema-v2 envelope) — the files ``python -m repro top`` tails.  Unset
-    (the default) means nothing is written; returns ``None`` then.
+    (the default) means nothing is written; returns ``None`` then.  Read
+    once, when :data:`repro.obs.EXPORTER` is built.
     """
     value = os.environ.get("REPRO_OBS_EXPORT", "").strip()
     return value or None
-
-
-def obs_export_interval() -> float:
-    """Minimum seconds between metrics-file rewrites
-    (``REPRO_OBS_EXPORT_INTERVAL``, default 1.0, floor 0).
-
-    ``0`` rewrites at every opportunity (each completed engine action) —
-    what tests use; the JSONL event stream is unaffected by this knob.
-    """
-    try:
-        value = float(os.environ.get("REPRO_OBS_EXPORT_INTERVAL", "1.0"))
-    except ValueError:
-        value = 1.0
-    return max(value, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -151,77 +121,6 @@ def service_port() -> int:
     except ValueError:
         value = 8765
     return value if 0 <= value <= 65535 else 8765
-
-
-def service_max_sessions() -> int:
-    """Admission gate: concurrent formulation sessions one server holds
-    (``REPRO_SERVICE_MAX_SESSIONS``, default 64, floor 1).
-
-    A create request beyond the cap is rejected with HTTP 503 rather than
-    queued — per-session engines hold SPIG/candidate state, so admission is
-    the memory backpressure valve.
-    """
-    try:
-        value = int(os.environ.get("REPRO_SERVICE_MAX_SESSIONS", "64"))
-    except ValueError:
-        value = 64
-    return max(value, 1)
-
-
-def service_session_ttl() -> float:
-    """Idle seconds before a session is evicted (``REPRO_SERVICE_TTL``,
-    default 1800, ``0`` disables eviction).
-
-    The clock rearms on every action; eviction is lazy (checked on the next
-    store access), so an idle server holds no timers.
-    """
-    try:
-        value = float(os.environ.get("REPRO_SERVICE_TTL", "1800"))
-    except ValueError:
-        value = 1800.0
-    return max(value, 0.0)
-
-
-def slo_window() -> float:
-    """Rolling window in seconds over which SLO attainment is computed
-    (``REPRO_SLO_WINDOW``, default 3600, floor 1).
-
-    Samples older than the window fall out of both the attainment fraction
-    and the burn rate, so the objectives in ``/obs`` describe the last hour
-    of traffic by default rather than process lifetime.
-    """
-    try:
-        value = float(os.environ.get("REPRO_SLO_WINDOW", "3600"))
-    except ValueError:
-        value = 3600.0
-    return max(value, 1.0)
-
-
-def slo_action_threshold() -> float:
-    """Per-action latency objective in seconds (``REPRO_SLO_ACTION_SECONDS``,
-    default 2.0 — the paper's GUI-latency window).
-
-    A session action counts as *good* for the ``action_latency`` objective
-    iff it completes within this many seconds; PRAGUE's whole premise is
-    that query processing hides inside the user's drawing latency, so the
-    default is :data:`DEFAULT_EDGE_LATENCY_SECONDS`.
-    """
-    try:
-        value = float(os.environ.get("REPRO_SLO_ACTION_SECONDS", "2.0"))
-    except ValueError:
-        value = 2.0
-    return max(value, 0.0)
-
-
-def slo_request_log_size() -> int:
-    """Completed-request ring capacity behind ``/obs`` slowest/recent request
-    surfacing and ``/v1/requests/<id>`` lookups (``REPRO_SLO_REQUEST_LOG``,
-    default 256, floor 16)."""
-    try:
-        value = int(os.environ.get("REPRO_SLO_REQUEST_LOG", "256"))
-    except ValueError:
-        value = 256
-    return max(value, 16)
 
 
 def postmortem_dir():
@@ -246,46 +145,15 @@ def profile_hz() -> float:
     polls ``sys._current_frames()`` at this rate and folds every thread's
     stack into the collapsed-stack profile (:mod:`repro.obs.profiler`).
     ~50 Hz is the recommended always-on rate; the sampler-on overhead at
-    50 Hz is bounded by ``benchmarks/bench_obs_overhead.py``.  Like
-    ``REPRO_TRACE``, the knob is re-read at every engine action.  Capped at
-    1000 Hz — beyond that the sampling loop itself distorts the profile.
+    50 Hz is bounded by ``benchmarks/bench_obs_overhead.py``.  Read once,
+    when :data:`repro.obs.PROFILER` is built.  Capped at 1000 Hz — beyond
+    that the sampling loop itself distorts the profile.
     """
     try:
         value = float(os.environ.get("REPRO_PROFILE_HZ", "0"))
     except ValueError:
         value = 0.0
     return min(max(value, 0.0), 1000.0)
-
-
-def profile_mem_topn() -> int:
-    """``tracemalloc`` top-N allocation sites per bracket
-    (``REPRO_PROFILE_MEM``, default 0 = off).
-
-    When positive, engine actions are bracketed with tracemalloc snapshots
-    and the top-N allocating source lines (by size delta) are attached to the
-    profile's memory tier.  Starting tracemalloc roughly doubles allocation
-    cost process-wide, so this is a diagnostic knob, not an always-on one.
-    """
-    try:
-        value = int(os.environ.get("REPRO_PROFILE_MEM", "0"))
-    except ValueError:
-        value = 0
-    return max(value, 0)
-
-
-def profile_depth() -> int:
-    """Maximum folded-stack depth per sample (``REPRO_PROFILE_DEPTH``,
-    default 64, floor 4).
-
-    Frames deeper than this are dropped from the *root* end of the stack —
-    the leaf (hot) frames always survive — which bounds both sampling cost
-    and collapsed-stack key length on pathologically deep recursion.
-    """
-    try:
-        value = int(os.environ.get("REPRO_PROFILE_DEPTH", "64"))
-    except ValueError:
-        value = 64
-    return max(value, 4)
 
 
 @dataclass(frozen=True)

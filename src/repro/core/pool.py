@@ -9,7 +9,7 @@ workers warm instead:
 * :class:`WarmPool` wraps one ``concurrent.futures.ProcessPoolExecutor``:
   lazily spawned by the first pooled batch, reused while the database, its
   length and the worker count stay put, expired after
-  :func:`repro.config.pool_idle_ttl` idle seconds, discarded after any
+  :attr:`WarmPool.ttl_s` idle seconds (300), discarded after any
   dispatch failure (the next dispatch respawns it), and shut down for good at
   interpreter exit.  A worker that dies, busy or idle, breaks the executor at
   once, so the batch in flight falls back to the serial path instead of
@@ -37,7 +37,6 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
-from repro.config import pool_idle_ttl
 from repro.obs.metrics import count, gauge
 from repro.obs.recorder import RECORDER
 
@@ -113,6 +112,8 @@ class WarmPool:
     requested worker count changes, after an idle TTL, or after a dispatch
     failure; between those events every batch reuses the running workers,
     which is where the cold-start milliseconds of each Run action go to die.
+    The worker count is the configured one (``REPRO_WORKERS``), never a
+    batch's candidate count, so small and large batches share the workers.
 
     Workers are shared across HTTP requests and sessions — per-request
     correlation is *not* pool state.  Each dispatched chunk carries its own
@@ -121,6 +122,10 @@ class WarmPool:
     a warm worker serving interleaved requests still labels every recorded
     event with the right id.
     """
+
+    #: Seconds an idle pool survives before the next dispatch respawns it;
+    #: ``0`` disables expiry.
+    ttl_s: float = 300.0
 
     def __init__(self) -> None:
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -170,11 +175,11 @@ class WarmPool:
     def _ensure(self, workers: int, db) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is not None:
-                ttl = pool_idle_ttl()
+                idle = time.monotonic() - self._last_used
                 if self._db() is not db or self._key != (len(db), workers):
                     self._discard("reconfigured")
                     self._respawn_pending = True
-                elif ttl and time.monotonic() - self._last_used > ttl:
+                elif self.ttl_s and idle > self.ttl_s:
                     count("verify.pool.expired")
                     self._discard("idle-ttl")
                     self._respawn_pending = True

@@ -73,9 +73,10 @@ from repro.exceptions import SessionError
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import NodeId
 from repro.index.builder import ActionAwareIndexes
+from repro.obs.exporter import EXPORTER
 from repro.obs.profiler import profile_action
 from repro.obs.recorder import RECORDER
-from repro.obs.tracer import Span, sync_env, timed
+from repro.obs.tracer import Span, timed
 from repro.query_graph import VisualQuery
 from repro.spig.manager import SpigManager
 
@@ -366,18 +367,19 @@ class PragueEngine:
     def _action(self, op: str) -> Iterator[Span]:
         """One gesture's observation: the ``action.<op>`` region.
 
-        Refreshes the obs switches, records ``action.start``, scopes the
-        profiler and times the body; afterwards ``action.end`` carries the
-        region's attributes and its duration.  A gesture that raises records
-        no sample and no ``action.end``.
+        Records ``action.start``, scopes the profiler and times the body;
+        afterwards ``action.end`` carries the region's attributes and its
+        duration, and the continuous exporter may rewrite its metrics files.
+        A gesture that raises records no sample and no ``action.end``.
         """
-        sync_env()
         RECORDER.record("action.start", op=op)
         with profile_action(op), timed(f"action.{op}") as region:
             yield region
         RECORDER.record(
             "action.end", op=op, **region.attrs, seconds=region.seconds
         )
+        if EXPORTER.active:
+            EXPORTER.tick()
 
     def _finish(self, report: StepReport, region: Span) -> StepReport:
         """Stamp the region's duration on ``report`` and log the step."""

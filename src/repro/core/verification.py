@@ -188,9 +188,11 @@ def reset_postmortem_limiter() -> None:
 
 
 def _pooled(candidates: int, workers: int) -> bool:
-    """Whether a batch runs on the pool: more than one worker and at least
-    :func:`repro.config.pool_min_candidates` candidates."""
-    return workers > 1 and candidates >= pool_min_candidates()
+    """Whether a batch runs on the pool: more than one worker with a
+    candidate to test, and at least :func:`repro.config.pool_min_candidates`
+    candidates."""
+    return min(workers, candidates) > 1 and \
+        candidates >= pool_min_candidates()
 
 
 def _run_batch(
@@ -213,7 +215,10 @@ def _run_batch(
     Each chunk is pickled here, before any dispatch, so an unpicklable
     payload fails in the calling thread instead of the executor's feeder
     thread.  It carries the length of ``db`` on entry, which a pool worker
-    checks against its own.
+    checks against its own.  The pool is keyed and sized on ``workers``,
+    the configured count; a batch with fewer candidates than workers is cut
+    into one chunk per candidate and leaves the spare workers idle, rather
+    than forking a smaller pool.
 
     On the pool path every chunk's observation delta is merged back here,
     so nothing a worker recorded is lost (see :mod:`repro.obs.snapshot`);
@@ -303,7 +308,6 @@ def verify_batch(
         return []
     if workers is None:
         workers = verification_workers()
-    workers = max(1, min(workers, len(ids)))
     with timed("verify.scan", candidates=len(ids), workers=workers):
         if _pooled(len(ids), workers):
             return _run_batch(
@@ -331,7 +335,6 @@ def sim_verify_scan(
         return set()
     if workers is None:
         workers = verification_workers()
-    workers = max(1, min(workers, len(ids)))
     with timed(
         "verify.sim",
         candidates=len(ids), fragments=len(fragments), workers=workers,

@@ -13,7 +13,9 @@ in which equal strings are one object (:func:`_shared`): a size must not
 depend on whether two equal labels happen to be one object in this process.
 
 The one on-disk format, :func:`save_indexes`/:func:`load_indexes`, pickles
-the raw fragment catalogs; loading rebuilds indexes whose lookups and size
+the raw fragment catalogs with the fingerprint of the database they were
+mined from (:func:`repro.index.builder.database_fingerprint`); loading
+refuses any other database, then rebuilds indexes whose lookups and size
 accounting equal the live ones (``tests/index/test_persistence.py`` holds
 that property).
 """
@@ -25,7 +27,9 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
-from repro.index.builder import ActionAwareIndexes
+from repro.exceptions import IndexError_
+from repro.graph.database import GraphDatabase
+from repro.index.builder import ActionAwareIndexes, database_fingerprint
 
 
 def pickled_size_bytes(obj: Any) -> int:
@@ -88,23 +92,45 @@ def prague_index_size_bytes(indexes: ActionAwareIndexes) -> int:
     return parts["mf_bytes"] + parts["df_bytes"] + a2i_size_bytes(indexes)
 
 
-def save_indexes(indexes: ActionAwareIndexes, path: Union[str, Path]) -> int:
-    """Pickle the raw catalogs to ``path``; returns bytes written."""
+def save_indexes(
+    indexes: ActionAwareIndexes, path: Union[str, Path], db: GraphDatabase
+) -> int:
+    """Pickle the raw catalogs, with the fingerprint of ``db`` (the database
+    they were mined from), to ``path``; returns bytes written."""
     path = Path(path)
-    payload = (indexes.frequent, indexes.difs, indexes.params, indexes.db_size)
+    payload = (
+        indexes.frequent, indexes.difs, indexes.params, indexes.db_size,
+        database_fingerprint(db, indexes.params),
+    )
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     path.write_bytes(data)
     return len(data)
 
 
-def load_indexes(path: Union[str, Path]) -> ActionAwareIndexes:
-    """Inverse of :func:`save_indexes` (indexes are rebuilt from catalogs)."""
+def load_indexes(path: Union[str, Path], db: GraphDatabase) -> ActionAwareIndexes:
+    """Inverse of :func:`save_indexes` (indexes are rebuilt from catalogs).
+
+    Raises :class:`~repro.exceptions.IndexError_` unless the file was saved
+    for ``db``: catalogs mined from another database answer its queries
+    wrongly, without any error.
+    """
     from repro.index.a2f import A2FIndex
     from repro.index.a2i import A2IIndex
     from repro.index.builder import ActionAwareIndexes as _AAI
 
     with Path(path).open("rb") as handle:
-        frequent, difs, params, db_size = pickle.load(handle)
+        payload = pickle.load(handle)
+    if not isinstance(payload, tuple) or len(payload) != 5:
+        raise IndexError_(
+            f"{path} carries no database fingerprint (an older catalog "
+            "format); re-run `repro index` to rebuild it"
+        )
+    frequent, difs, params, db_size, fingerprint = payload
+    if fingerprint != database_fingerprint(db, params):
+        raise IndexError_(
+            f"{path} was mined from a different database than the one "
+            "given; re-run `repro index` on this database"
+        )
     return _AAI(
         a2f=A2FIndex(frequent, params.size_threshold),
         a2i=A2IIndex(difs),

@@ -25,8 +25,8 @@ millisecond of a formulation session goes* without changing any answer:
   envelopes), Prometheus text format and human-readable tables, consumed by
   the ``python -m repro trace``, ``postmortem`` and ``top`` CLIs;
 * **continuous export** (:mod:`repro.obs.exporter`) — with
-  ``REPRO_OBS_EXPORT`` set, events stream to ``events.jsonl`` and the
-  metrics snapshot is periodically rewritten (``metrics.prom`` +
+  ``REPRO_OBS_EXPORT`` set at start-up, events stream to ``events.jsonl``
+  and the metrics snapshot is periodically rewritten (``metrics.prom`` +
   ``snapshot.json``), so a live session can be watched with
   ``python -m repro top``;
 * **continuous profiling** (:mod:`repro.obs.profiler`) — a statistical
@@ -51,9 +51,11 @@ millisecond of a formulation session goes* without changing any answer:
 
 Tracing is **off by default** and controlled by ``REPRO_TRACE``; histograms
 and the flight recorder are **on by default** (``REPRO_RECORDER=0`` turns
-the recorder off) — see ``docs/CONFIGURATION.md``.  The combined always-on
-cost is bounded by ``benchmarks/bench_obs_overhead.py``.  Programmatic use
-needs no environment variable:
+the recorder off) — see ``docs/CONFIGURATION.md``.  Each switch is read once,
+when its singleton (``TRACER``, ``RECORDER``, ``EXPORTER``, ``PROFILER``) is
+built, and is an attribute from then on.  The combined always-on cost is
+bounded by ``benchmarks/bench_obs_overhead.py``.  Programmatic use needs no
+environment variable:
 
 >>> from repro import obs
 >>> with obs.trace() as tracer:
@@ -141,7 +143,6 @@ from repro.obs.tracer import (
     TRACER,
     Span,
     Tracer,
-    sync_env,
     timed,
     trace,
 )
@@ -151,7 +152,6 @@ __all__ = [
     "Tracer",
     "Span",
     "timed",
-    "sync_env",
     "trace",
     "METRICS",
     "Metrics",

@@ -2,28 +2,23 @@
 
 Spans, histograms and the flight recorder all answer questions *after* the
 fact; a long-running session serving real traffic needs to be watchable
-*while it runs*.  When ``REPRO_OBS_EXPORT`` names a directory, the exporter
+*while it runs*.  When ``REPRO_OBS_EXPORT`` names a directory at start-up
+(or :meth:`ContinuousExporter.export_to` points the exporter at one), it
 keeps three files there live:
 
 * ``events.jsonl`` — every flight-recorder event, appended the moment it is
   recorded (one schema-v2 ``obs-event`` envelope per line).  Worker events
   merged back from the verification pool stream too, ``src``-labelled;
 * ``metrics.prom`` — the full metrics snapshot (counters, gauges, latency
-  histograms) in Prometheus text exposition format, rewritten at most once
-  per ``REPRO_OBS_EXPORT_INTERVAL`` seconds;
+  histograms) in Prometheus text exposition format, rewritten at the end of
+  an engine action at most once per
+  :attr:`ContinuousExporter.interval_s` seconds (1 s);
 * ``snapshot.json`` — the same snapshot as a schema-v2 ``metrics-snapshot``
   envelope with pid/timestamp/sequence metadata, the machine-readable twin
   ``python -m repro top`` tails.
 
 Both metric files are written atomically (temp file + ``os.replace``) so a
 tailing reader never sees a half-written snapshot.
-
-The exporter re-reads its environment through :meth:`ContinuousExporter.
-sync_env`, which — like the flight recorder's capacity knob — caches the
-*raw* environment strings and only re-parses on change: ``sync_env`` runs at
-every GUI action, and the default (export off) posture must stay within the
-obs-overhead budget (``benchmarks/bench_obs_overhead.py`` measures the
-export-on posture too).
 
 Verification-pool workers inherit the parent's exporter state on fork;
 :func:`repro.obs.snapshot.begin_worker_capture` calls :meth:`suspend` so a
@@ -37,21 +32,20 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, Optional, TextIO, Union
 
-from repro.config import obs_export_dir, obs_export_interval
+from repro.config import obs_export_dir
 
 
 class ContinuousExporter:
     """Process-wide streaming exporter (single-threaded, like the tracer)."""
 
+    #: Minimum seconds between metrics-file rewrites; ``0`` rewrites at
+    #: every completed engine action.  The JSONL stream is not affected.
+    interval_s: float = 1.0
+
     def __init__(self) -> None:
-        self._dir_raw: Optional[str] = os.environ.get("REPRO_OBS_EXPORT")
-        self._interval_raw: Optional[str] = os.environ.get(
-            "REPRO_OBS_EXPORT_INTERVAL"
-        )
-        self._directory: Optional[Path] = None
-        self._interval: float = obs_export_interval()
+        self.directory: Optional[Path] = None
         self._events_file: Optional[TextIO] = None
         self._last_write: float = 0.0
         self._suspended: bool = False  # set in pool workers, never cleared
@@ -59,49 +53,29 @@ class ContinuousExporter:
         self.events_emitted: int = 0
         self.snapshots_written: int = 0
         self.active: bool = False
-        self._configure(self._dir_raw)
+        self.export_to(obs_export_dir())
 
     # ------------------------------------------------------------------
     # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh the export target from the environment (per action).
+    def export_to(self, directory: Union[str, Path, None]) -> None:
+        """Stream into ``directory`` from now on, or stop with ``None``.
 
-        Raw-string cached: the common case (knob unchanged, usually unset)
-        costs one ``environ`` probe and one comparison — no parsing, no
-        path handling.  Only an actual change pays :meth:`_configure`.  The
-        interval knob is probed only while exporting (or on reconfigure):
-        with export off it cannot matter, and ``sync_env`` runs on every
-        GUI action, so the off posture must stay within the obs-overhead
-        per-call budget.
+        Closes the current event stream first; the next tick writes the
+        metrics files at once.  A suspended exporter stays inactive.
         """
-        raw = os.environ.get("REPRO_OBS_EXPORT")
-        if raw != self._dir_raw:
-            self._dir_raw = raw
-            self._configure(raw)
-            self._interval_raw = os.environ.get("REPRO_OBS_EXPORT_INTERVAL")
-            self._interval = obs_export_interval()
-        elif self.active:
-            interval_raw = os.environ.get("REPRO_OBS_EXPORT_INTERVAL")
-            if interval_raw != self._interval_raw:
-                self._interval_raw = interval_raw
-                self._interval = obs_export_interval()
-        return self.active
-
-    def _configure(self, raw: Optional[str]) -> None:
         if self._events_file is not None:
             try:
                 self._events_file.close()
             except OSError:  # pragma: no cover - close failures are benign
                 pass
             self._events_file = None
-        value = (raw or "").strip()
-        if not value or self._suspended:
-            self._directory = None
+        if directory is None or self._suspended:
+            self.directory = None
             self.active = False
             return
-        self._directory = Path(value)
-        self._directory.mkdir(parents=True, exist_ok=True)
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.active = True
         self._last_write = 0.0  # first tick writes immediately
 
@@ -114,7 +88,7 @@ class ContinuousExporter:
         stream.
         """
         self._suspended = True
-        self._directory = None
+        self.directory = None
         self.active = False
         self._events_file = None  # never close: the fd belongs to the parent
 
@@ -132,7 +106,7 @@ class ContinuousExporter:
             return
         if self._events_file is None:
             self._events_file = open(
-                self._directory / "events.jsonl", "a",
+                self.directory / "events.jsonl", "a",
                 buffering=1, encoding="utf-8",
             )
         from repro.obs.export import envelope
@@ -154,16 +128,15 @@ class ContinuousExporter:
     def tick(self, force: bool = False) -> Optional[Path]:
         """Rewrite ``metrics.prom`` + ``snapshot.json`` if the interval is up.
 
-        Called after every completed engine action (and from ``sync_env``'s
-        caller once per action start); the interval knob bounds the file I/O
-        no matter how chatty the session is.  Returns the snapshot path when
-        a write happened.
+        Called after every completed engine action; :attr:`interval_s`
+        bounds the file I/O no matter how chatty the session is.  Returns
+        the snapshot path when a write happened.
         """
         if not self.active:
             return None
         now = time.monotonic()
         if not force and self._last_write and \
-                now - self._last_write < self._interval:
+                now - self._last_write < self.interval_s:
             return None
         self._last_write = now
         from repro.obs.export import envelope, render_prometheus
@@ -206,7 +179,7 @@ class ContinuousExporter:
         if not PROFILER.enabled or not PROFILER.samples:
             return
         try:
-            (self._directory / "profiles").mkdir(exist_ok=True)
+            (self.directory / "profiles").mkdir(exist_ok=True)
             profile = PROFILER.collect()
             self._atomic_write(
                 "profiles/profile.folded",
@@ -225,12 +198,12 @@ class ContinuousExporter:
             pass
 
     def _atomic_write(self, name: str, text: str) -> Path:
-        path = self._directory / name
+        path = self.directory / name
         tmp = path.with_name(f".{path.name}.tmp")
         tmp.write_text(text)
         os.replace(tmp, path)
         return path
 
 
-#: The process-wide exporter; inert until ``REPRO_OBS_EXPORT`` is set.
+#: The process-wide exporter; inert unless ``REPRO_OBS_EXPORT`` is set.
 EXPORTER = ContinuousExporter()

@@ -3,8 +3,9 @@
 Histograms (:mod:`repro.obs.metrics`) say *how slow* an action was; this
 module says *why* — which frames the process was actually executing while
 the action ran.  A daemon thread polls ``sys._current_frames()`` at
-``REPRO_PROFILE_HZ`` (default off; ~50 Hz is the recommended always-on
-rate) and folds every thread's stack into a collapsed-stack profile:
+``REPRO_PROFILE_HZ`` (read at start-up; default off, ~50 Hz is the
+recommended always-on rate; :meth:`Profiler.set_hz` changes it) and folds
+every thread's stack into a collapsed-stack profile:
 ``"pkg/mod.py:outer;pkg/mod.py:inner" -> sample count``, the format
 flamegraph tooling has standardized on.
 
@@ -17,29 +18,29 @@ sampler (seeded through the :mod:`repro.obs.snapshot` worker-delta
 protocol) and their samples merge home tagged with the worker's name, so
 pooled VF2 chunks appear in the parent's profile under the same request id.
 
-The memory tier is opt-in (``REPRO_PROFILE_MEM=N``): engine actions are
-bracketed with ``tracemalloc`` snapshots and the top-N allocating lines (by
-size delta) are kept per site.
+The memory tier is opt-in (``PROFILER.mem_topn = N``, which ``python -m
+repro profile --mem N`` sets): engine actions are bracketed with
+``tracemalloc`` snapshots and the top-N allocating lines (by size delta) are
+kept per site.
 
 Everything here is pure stdlib.  The off-path cost is one attribute check
 per action (:data:`_NOOP` is shared), bounded like every other obs surface
 by ``benchmarks/bench_obs_overhead.py``.
 
->>> PROFILER.force(200.0)         # doctest: +SKIP
+>>> PROFILER.set_hz(200.0)        # doctest: +SKIP
 >>> with profile_action("new"):   # doctest: +SKIP
 ...     hot_loop()
->>> PROFILER.force(None)          # doctest: +SKIP
+>>> PROFILER.set_hz(0)            # doctest: +SKIP
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.config import profile_depth, profile_hz, profile_mem_topn
+from repro.config import profile_hz
 from repro.obs import requests as _requests
 
 #: Slice key for samples taken outside any action/request scope.
@@ -71,11 +72,12 @@ class Profiler:
     bookkeeping on the threads being profiled.
     """
 
+    #: Maximum folded-stack depth per sample.  Frames deeper than this are
+    #: dropped from the *root* end — the leaf (hot) frames always survive —
+    #: which bounds sampling cost and key length on deep recursion.
+    depth: int = 64
+
     def __init__(self) -> None:
-        self._hz_raw = os.environ.get("REPRO_PROFILE_HZ")
-        self._mem_raw = os.environ.get("REPRO_PROFILE_MEM")
-        self._override: Optional[float] = None
-        self._mem_override: Optional[int] = None
         self._lock = threading.Lock()
         #: thread id -> (request_id or "", action name) for the sampler.
         self._scopes: Dict[int, Tuple[str, str]] = {}
@@ -87,53 +89,28 @@ class Profiler:
         self.samples: int = 0
         self.hz: float = 0.0
         self.enabled: bool = False
+        #: ``tracemalloc`` top-N allocating lines kept per action bracket;
+        #: ``0`` keeps the memory tier off.
         self.mem_topn: int = 0
-        self.depth: int = profile_depth()
         self._generation = 0
         self._thread: Optional[threading.Thread] = None
         self._thread_id: Optional[int] = None
         self._started_tracemalloc = False
-        self._apply(profile_hz())
-        self._apply_mem(profile_mem_topn())
+        self.set_hz(profile_hz())
 
     # ------------------------------------------------------------------
-    # switching (mirrors Tracer/FlightRecorder: env knob + override)
+    # switching
     # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh the sampler rate from the environment (called per action).
+    def set_hz(self, hz: float) -> None:
+        """Sample at ``hz`` (clamped to 0–1000) from now on; ``0`` stops.
 
-        Raw-string caching keeps the off-path at one ``environ`` probe and a
-        compare — ``float()`` in try/except per action would blow the
-        ``sync_env`` budget in ``bench_obs_overhead``.
+        Starts the sampler thread when sampling turns on; when it turns off
+        the thread exits at its next wake-up.
         """
-        raw = os.environ.get("REPRO_PROFILE_HZ")
-        if raw != self._hz_raw:
-            self._hz_raw = raw
-            if self._override is None:
-                self._apply(profile_hz())
-        mem_raw = os.environ.get("REPRO_PROFILE_MEM")
-        if mem_raw != self._mem_raw:
-            self._mem_raw = mem_raw
-            if self._mem_override is None:
-                self._apply_mem(profile_mem_topn())
-        return self.enabled
-
-    def force(self, hz: Optional[float]) -> None:
-        """Install (or with ``None`` remove) a rate override of the env knob."""
-        self._override = hz
-        self._apply(profile_hz() if hz is None else float(hz))
-
-    def force_mem(self, topn: Optional[int]) -> None:
-        """Install (or with ``None`` remove) a memory-tier top-N override."""
-        self._mem_override = topn
-        self._apply_mem(profile_mem_topn() if topn is None else int(topn))
-
-    def _apply(self, hz: float) -> None:
         hz = min(max(float(hz), 0.0), 1000.0)
         self.hz = hz
         self.enabled = hz > 0.0
         if self.enabled:
-            self.depth = profile_depth()
             if self._thread is None or not self._thread.is_alive():
                 self._generation += 1
                 generation = self._generation
@@ -149,9 +126,6 @@ class Profiler:
             self._generation += 1
             self._thread = None
             self._thread_id = None
-
-    def _apply_mem(self, topn: int) -> None:
-        self.mem_topn = max(int(topn), 0)
 
     # ------------------------------------------------------------------
     # the sampling loop
@@ -360,7 +334,7 @@ class Profiler:
             self.samples = 0
 
 
-#: The process-wide profiler (sampling off until REPRO_PROFILE_HZ/force).
+#: The process-wide profiler (sampling off unless REPRO_PROFILE_HZ is set).
 PROFILER = Profiler()
 
 

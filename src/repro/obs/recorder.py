@@ -8,11 +8,11 @@ site appends to — action boundaries, cache hit/miss *transitions* (recorded
 only when the streak flips, so steady-state hits cost one dict probe),
 verification-pool runs and fallbacks, and exceptions with their tracebacks.
 
-It is on by default (``REPRO_RECORDER=0`` disables it; ``docs/``
+It is on by default (``REPRO_RECORDER=0`` at start-up disables it; ``docs/``
 ``CONFIGURATION.md``) precisely because it only pays off for the failures
-nobody planned to reproduce: the ring holds the last ``REPRO_RECORDER_SIZE``
-events (default 512) at a per-event cost bounded by
-``benchmarks/bench_obs_overhead.py``.
+nobody planned to reproduce: the ring holds the last
+:data:`FlightRecorder.SIZE` events (512) at a per-event cost bounded by
+``benchmarks/bench_obs_overhead.py``.  ``enabled`` is a plain attribute.
 
 :meth:`FlightRecorder.dump` freezes the ring into a schema-versioned
 post-mortem bundle (see :mod:`repro.obs.export`); the differential-oracle
@@ -21,7 +21,7 @@ harness embeds one in every divergence report, a pool fallback writes one to
 <bundle>`` renders either back into a timeline:
 
 >>> recorder = FlightRecorder(size=4)
->>> recorder.force(True)
+>>> recorder.enabled = True
 >>> recorder.record("action.start", op="new")
 >>> recorder.transition("canonical.cache", "lru_hit")
 >>> recorder.transition("canonical.cache", "lru_hit")  # same streak: skipped
@@ -33,14 +33,13 @@ harness embeds one in every divergence report, a pool fallback writes one to
 from __future__ import annotations
 
 import json
-import os
 import time
 import traceback as _traceback
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
-from repro.config import recorder_enabled, recorder_size
+from repro.config import recorder_enabled
 from repro.obs.exporter import EXPORTER as _EXPORTER
 from repro.obs import requests as _requests
 
@@ -48,11 +47,12 @@ from repro.obs import requests as _requests
 class FlightRecorder:
     """Process-wide bounded event ring (single-threaded, like the tracer)."""
 
-    def __init__(self, size: Optional[int] = None) -> None:
+    #: Default ring capacity in events.
+    SIZE = 512
+
+    def __init__(self, size: int = SIZE) -> None:
         self.enabled: bool = recorder_enabled()
-        self._override: Optional[bool] = None
-        self._size: int = recorder_size() if size is None else size
-        self._size_raw = os.environ.get("REPRO_RECORDER_SIZE")
+        self._size: int = size
         self._events: Deque[Dict[str, Any]] = deque(maxlen=self._size)
         self._seq: int = 0
         self._dumps: int = 0
@@ -61,30 +61,6 @@ class FlightRecorder:
         #: per-session volume the overhead benchmark multiplies by per-call
         #: cost (deduplicated transitions still pay the probe, so they count).
         self.calls: int = 0
-
-    # ------------------------------------------------------------------
-    # switching (mirrors Tracer: env knob + programmatic override)
-    # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh ``enabled``/capacity from the environment (per action)."""
-        if self._override is None:
-            self.enabled = recorder_enabled()
-        # Re-parse the capacity only when the raw env string changed: this
-        # runs at every engine action, and int()-in-try/except per call would
-        # dominate sync_env's budget in bench_obs_overhead.
-        raw = os.environ.get("REPRO_RECORDER_SIZE")
-        if raw != self._size_raw:
-            self._size_raw = raw
-            size = recorder_size()
-            if size != self._size:
-                self._size = size
-                self._events = deque(self._events, maxlen=size)
-        return self.enabled
-
-    def force(self, enabled: Optional[bool]) -> None:
-        """Install (or with ``None`` remove) an override of the env knob."""
-        self._override = enabled
-        self.enabled = recorder_enabled() if enabled is None else enabled
 
     def reset(self) -> None:
         """Drop all events and transition memory (test/bench isolation)."""
@@ -118,8 +94,6 @@ class FlightRecorder:
         self._events.append(event)
         if _EXPORTER.active:
             _EXPORTER.emit(event)
-            if kind == "action.end":
-                _EXPORTER.tick()
 
     def transition(self, name: str, state: str) -> None:
         """Record ``name``'s state only when it *changes* (streak compression).

@@ -10,8 +10,8 @@ by :func:`repro.core.verification._run_batch`:
 1. **context** — :func:`worker_context` captures the parent's observability
    posture (tracing/recorder switches) into a small picklable dict that
    travels with every chunk payload, so workers observe exactly what the
-   parent would have (env knobs propagate through fork anyway; programmatic
-   ``obs.trace()`` overrides only propagate through the context);
+   parent would have (a worker forked before an ``obs.trace()`` block, or
+   spawned without fork, learns the parent's switches only from it);
 2. **capture** — :func:`begin_worker_capture` runs first inside the worker:
    it applies the context, *resets* the worker-local registries (fork copies
    the parent's state; copy-on-write makes the reset invisible to the
@@ -70,17 +70,17 @@ def worker_context() -> Dict[str, Any]:
 def begin_worker_capture(ctx: Dict[str, Any]) -> None:
     """Enter delta-capture mode inside a pool worker.
 
-    Applies the parent's switches as overrides (fork inherits the env, but
-    not programmatic ``force``/``trace()`` state), clears the inherited
+    Assigns the parent's switches (a warm worker was forked with whatever
+    they were at spawn time, not what they are now), clears the inherited
     registries so subsequent observations form a clean delta, and suspends
     the exporter (the worker must not append to the parent's stream).
     Called at the top of every chunk — pool workers are reused across
     chunks, and each chunk returns only its own delta.
     """
     EXPORTER.suspend()
-    TRACER.force(bool(ctx.get("trace")))
-    RECORDER.force(bool(ctx.get("recorder")))
-    PROFILER.force(float(ctx.get("profile_hz") or 0.0))
+    TRACER.enabled = bool(ctx.get("trace"))
+    RECORDER.enabled = bool(ctx.get("recorder"))
+    PROFILER.set_hz(float(ctx.get("profile_hz") or 0.0))
     TRACER.reset()
     METRICS.reset()
     reset_histograms()

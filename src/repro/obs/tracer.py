@@ -17,11 +17,11 @@ service) and inside it the work it triggered (``spig.construct``,
 that raises closes its span but records no sample.
 
 The module-level :data:`TRACER` is process-wide and **off by default**.
-``REPRO_TRACE=1`` enables it (see :func:`repro.config.trace_enabled`); the
-engine calls :func:`sync_env` once per GUI action, so the knob is live.
-For programmatic use — tests, the ``python -m repro trace`` CLI —
-:func:`trace` force-enables tracing for a block regardless of the
-environment:
+``REPRO_TRACE=1`` in the environment at start-up enables it (see
+:func:`repro.config.trace_enabled`); ``TRACER.enabled`` is a plain
+attribute.  For programmatic use — tests, the ``python -m repro trace``
+CLI — :func:`trace` switches tracing on for a block and restores the
+previous value afterwards:
 
 >>> from repro.obs import timed, trace
 >>> with trace() as tracer:
@@ -48,10 +48,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import trace_enabled
-from repro.obs.exporter import EXPORTER as _EXPORTER
 from repro.obs.histogram import observe as _observe, reset_histograms
-from repro.obs.profiler import PROFILER as _PROFILER
-from repro.obs.recorder import RECORDER as _RECORDER
 from repro.obs.requests import current_request_id as _current_request_id
 
 
@@ -124,8 +121,8 @@ class Tracer:
     """Process-wide span collector.
 
     ``enabled`` is a plain bool so a region pays one attribute load to skip
-    the tree.  It follows ``REPRO_TRACE`` (via :func:`sync_env`) unless an
-    override is installed by :meth:`force` / :func:`trace`.
+    the tree.  It starts as ``REPRO_TRACE`` says; :func:`trace` switches it
+    for a block.
     """
 
     #: Upper bound on retained root spans — a leak guard for long-lived
@@ -134,7 +131,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self.enabled: bool = trace_enabled()
-        self._override: Optional[bool] = None
         self._local = threading.local()
         self.roots: List[Span] = []
 
@@ -145,20 +141,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    # ------------------------------------------------------------------
-    # switching
-    # ------------------------------------------------------------------
-    def sync_env(self) -> bool:
-        """Refresh ``enabled`` from ``REPRO_TRACE`` (unless overridden)."""
-        if self._override is None:
-            self.enabled = trace_enabled()
-        return self.enabled
-
-    def force(self, enabled: Optional[bool]) -> None:
-        """Install (or with ``None`` remove) an override of the env knob."""
-        self._override = enabled
-        self.enabled = trace_enabled() if enabled is None else enabled
 
     def reset(self) -> None:
         """Drop all collected spans (and this thread's open ones)."""
@@ -218,47 +200,27 @@ class Tracer:
 TRACER = Tracer()
 
 
-def sync_env() -> bool:
-    """Refresh the observability switches from the environment.
-
-    Called at engine action entry: re-reads ``REPRO_TRACE`` for the tracer,
-    ``REPRO_RECORDER``/``REPRO_RECORDER_SIZE`` for the flight recorder,
-    ``REPRO_OBS_EXPORT``/``REPRO_OBS_EXPORT_INTERVAL`` for the continuous
-    exporter and ``REPRO_PROFILE_HZ``/``REPRO_PROFILE_MEM`` for the
-    statistical sampler, so flipping any knob mid-process takes effect at
-    the next action.  All four cache the raw environment strings, so the
-    per-action cost with everything at its default is a handful of
-    ``environ`` probes (bounded by ``benchmarks/bench_obs_overhead.py``).
-    Returns the tracer's enabled state (the historical contract).
-    """
-    _RECORDER.sync_env()
-    _PROFILER.sync_env()
-    if _EXPORTER.sync_env():
-        _EXPORTER.tick()
-    return TRACER.sync_env()
-
-
 @contextmanager
 def trace(reset: bool = True):
-    """Force-enable tracing for a block and yield the tracer.
+    """Enable tracing for a block and yield the tracer.
 
-    Exception-safe: if the block raises, the tracer's prior enabled/override
-    state is restored and any span left open inside the block is closed and
-    popped (``Tracer.unwind``), so a failing traced block can never corrupt
-    the next one.  With ``reset=True`` (the default) the span forest, the
-    metrics registry and the latency histograms all start empty.
+    Exception-safe: however the block exits, ``TRACER.enabled`` gets back
+    the value it had on entry, and any span left open inside the block is
+    closed and popped (``Tracer.unwind``), so a failing traced block can
+    never corrupt the next one.  With ``reset=True`` (the default) the span
+    forest, the metrics registry and the latency histograms all start empty.
     """
     from repro.obs.metrics import METRICS
 
-    previous = TRACER._override
+    previous = TRACER.enabled
     if reset:
         TRACER.reset()
         METRICS.reset()
         reset_histograms()
     depth = len(TRACER._stack)
-    TRACER.force(True)
+    TRACER.enabled = True
     try:
         yield TRACER
     finally:
-        TRACER.force(previous)
+        TRACER.enabled = previous
         TRACER.unwind(depth)

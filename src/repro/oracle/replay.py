@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.prague import PragueEngine
 from repro.graph import canonical
+from repro.obs.exporter import EXPORTER
 from repro.obs.recorder import RECORDER
 from repro.oracle.corpus import OracleCorpus, corpus_for
 from repro.oracle.trace import SessionTrace, apply_action, observe_step
@@ -63,23 +64,26 @@ CONFIG_MATRIX: Tuple[OracleConfig, ...] = tuple(
 )
 
 
-#: Knobs every matrix cell pins *off* regardless of the ambient environment:
-#: a replay sweep must never stream telemetry into a live session's export
-#: directory (interleaved JSONL from dozens of replays would poison it), and
-#: the extra file I/O would skew the step timings the oracles compare.
-_ISOLATED_ENV = {"REPRO_OBS_EXPORT": ""}
-
-
 @contextmanager
 def applied(config: OracleConfig):
-    """Temporarily install ``config``'s environment (and isolate the LRU)."""
-    patch = {**config.env(), **_ISOLATED_ENV}
+    """Temporarily install ``config``'s environment (and isolate the LRU).
+
+    The continuous exporter is paused for the block and then pointed back
+    at its directory: a replay sweep must never stream telemetry into a
+    live session's export directory (interleaved JSONL from dozens of
+    replays would poison it), and the extra file I/O would skew the step
+    timings the oracles compare.
+    """
+    patch = config.env()
     saved = {key: os.environ.get(key) for key in patch}
     os.environ.update(patch)
+    export_dir = EXPORTER.directory
+    EXPORTER.export_to(None)
     canonical.clear_cache()  # no memo carry-over between replays
     try:
         yield
     finally:
+        EXPORTER.export_to(export_dir)
         for key, value in saved.items():
             if value is None:
                 os.environ.pop(key, None)

@@ -68,6 +68,9 @@ OBS_TOP_REQUESTS = 8
 #: How many recorder events ``/obs`` tails for ``repro top --server``.
 OBS_EVENT_TAIL = 16
 
+#: A well-formed ``Content-Length``: a non-negative decimal integer.
+_CONTENT_LENGTH_OK = re.compile(r"^[0-9]+$")
+
 #: Acceptable inbound correlation ids: short, shell- and log-safe.  Anything
 #: else (absent, oversized, control characters) gets a freshly minted id.
 _REQUEST_ID_OK = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -172,7 +175,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not _CONTENT_LENGTH_OK.match(raw):
+            # ``rfile.read(-1)`` would wait for an EOF a keep-alive client
+            # never sends, and the request's framing is unknown anyway: the
+            # body must not be read as the next request, so hang up.
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length {raw!r}")
+        length = int(raw)
         if length > MAX_BODY_BYTES:
             raise BodyTooLargeError(
                 f"request body too large ({length} bytes, "

@@ -5,13 +5,14 @@ A session is one user's formulation in flight — an
 candidates, undo stack) plus bookkeeping.  The manager owns their whole
 lifecycle:
 
-* **admission** — at most :func:`repro.config.service_max_sessions` live
-  sessions; a create beyond the cap raises :class:`AdmissionError` (the
-  HTTP layer maps it to 503) instead of queueing, because every admitted
-  session pins candidate state in memory;
-* **TTL eviction** — sessions idle longer than
-  :func:`repro.config.service_session_ttl` are dropped lazily on the next
-  store access; the clock rearms on every action;
+* **admission** — at most ``max_sessions`` live sessions (default
+  :data:`MAX_SESSIONS`, ``repro serve --max-sessions``); a create beyond the
+  cap raises :class:`AdmissionError` (the HTTP layer maps it to 503) instead
+  of queueing, because every admitted session pins candidate state in
+  memory;
+* **TTL eviction** — sessions idle longer than ``ttl`` seconds (default
+  :data:`SESSION_TTL_S`, ``repro serve --ttl``) are dropped lazily on the
+  next store access; the clock rearms on every action;
 * **serialization** — actions against one session run under that session's
   lock (two racing requests for the same sid execute one after the other),
   while different sessions proceed in parallel on server threads.
@@ -26,11 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.config import (
-    DEFAULT_SUBGRAPH_DISTANCE,
-    service_max_sessions,
-    service_session_ttl,
-)
+from repro.config import DEFAULT_SUBGRAPH_DISTANCE
 from repro.core.plane import SharedPlane
 from repro.core.prague import RunReport
 from repro.core.undo import UndoableEngine
@@ -45,6 +42,12 @@ from repro.oracle.trace import ACTION_OPS, TraceAction, _tuplify, apply_action
 #: percentiles — enough for a long interactive formulation, bounded so a
 #: hot session cannot grow without limit.
 SESSION_LATENCY_WINDOW = 512
+
+#: Default admission cap: concurrent sessions one server holds.
+MAX_SESSIONS = 64
+
+#: Default idle seconds before a session is evicted (``0`` disables).
+SESSION_TTL_S = 1800.0
 
 #: Ops a session accepts: the replayable GUI gestures plus the undo pair.
 SERVICE_OPS: Tuple[str, ...] = ACTION_OPS + ("undo", "redo")
@@ -80,9 +83,9 @@ class Session:
 class SessionManager:
     """All live sessions of one server process, behind one store lock.
 
-    ``max_sessions``/``ttl`` default to the ``REPRO_SERVICE_*`` knobs,
-    re-read on every decision so a test (or an operator restarting with new
-    env) is not pinned to construction-time values.
+    ``max_sessions`` (floor 1) and ``ttl`` (floor 0) are fixed at
+    construction; ``None`` selects :data:`MAX_SESSIONS` /
+    :data:`SESSION_TTL_S`.
     """
 
     def __init__(
@@ -96,40 +99,31 @@ class SessionManager:
         self.plane = plane
         self.sigma = sigma
         self.undo_limit = undo_limit
-        self._max_override = max_sessions
-        self._ttl_override = ttl
+        self.max_sessions = max(
+            MAX_SESSIONS if max_sessions is None else int(max_sessions), 1
+        )
+        self.ttl = max(SESSION_TTL_S if ttl is None else float(ttl), 0.0)
         self._lock = threading.Lock()
         self._sessions: Dict[str, Session] = {}
         self._created = 0
         self._evicted = 0
         self._rejected = 0
 
-    # -- knobs ---------------------------------------------------------
-    def max_sessions(self) -> int:
-        if self._max_override is not None:
-            return max(self._max_override, 1)
-        return service_max_sessions()
-
-    def ttl(self) -> float:
-        if self._ttl_override is not None:
-            return max(self._ttl_override, 0.0)
-        return service_session_ttl()
-
     # -- lifecycle -----------------------------------------------------
     def create(self, sigma: Optional[int] = None) -> Session:
         """Admit one new session (raises :class:`AdmissionError` at cap)."""
         with self._lock:
             self._evict_expired_locked()
-            if len(self._sessions) >= self.max_sessions():
+            if len(self._sessions) >= self.max_sessions:
                 self._rejected += 1
                 count("service.sessions.rejected")
                 record_admission(False)
                 RECORDER.record(
                     "service.reject", live=len(self._sessions),
-                    cap=self.max_sessions(),
+                    cap=self.max_sessions,
                 )
                 raise AdmissionError(
-                    f"session cap reached ({self.max_sessions()} live); "
+                    f"session cap reached ({self.max_sessions} live); "
                     "close a session or retry later"
                 )
             sid = uuid.uuid4().hex[:16]
@@ -174,10 +168,9 @@ class SessionManager:
             return self._evict_expired_locked()
 
     def _evict_expired_locked(self) -> int:
-        ttl = self.ttl()
-        if not ttl:
+        if not self.ttl:
             return 0
-        deadline = time.monotonic() - ttl
+        deadline = time.monotonic() - self.ttl
         expired = [
             sid for sid, session in self._sessions.items()
             if session.last_used < deadline and not session.lock.locked()
@@ -234,7 +227,7 @@ class SessionManager:
                 "created": self._created,
                 "evicted": self._evicted,
                 "rejected": self._rejected,
-                "max_sessions": self.max_sessions(),
-                "ttl_seconds": self.ttl(),
+                "max_sessions": self.max_sessions,
+                "ttl_seconds": self.ttl,
                 "db_graphs": len(self.plane.db),
             }

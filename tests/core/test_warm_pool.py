@@ -80,8 +80,25 @@ class TestWarmPoolLifecycle:
         assert counters.get("verify.pool.spawns", 0) == 2
         assert counters.get("verify.pool.respawns", 0) == 1
 
+    def test_small_batches_reuse_the_configured_pool(
+        self, corpus, monkeypatch
+    ):
+        """A batch with fewer candidates than workers runs on the pool of
+        the configured size; it does not fork a smaller one."""
+        monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "1")
+        query = _query(corpus, seed=2)
+        ids = list(corpus.ids())
+        with obs.trace():
+            for n in (2, 10, 2, 10):
+                assert verify_batch(query, ids[:n], corpus, workers=3) == \
+                    verify_batch(query, ids[:n], corpus, workers=1)
+            counters = obs.full_snapshot()["counters"]
+        assert counters.get("verify.pool.runs", 0) == 4
+        assert counters.get("verify.pool.spawns", 0) == 1
+        assert counters.get("verify.pool.respawns", 0) == 0
+
     def test_idle_ttl_recycles_the_pool(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_TTL", "0.01")
+        monkeypatch.setattr(pool_mod.POOL, "ttl_s", 0.01)
         query = _query(corpus, seed=3)
         ids = list(corpus.ids())
         with obs.trace():
@@ -93,7 +110,7 @@ class TestWarmPoolLifecycle:
         assert counters.get("verify.pool.spawns", 0) == 2
 
     def test_ttl_zero_disables_expiry(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_TTL", "0")
+        monkeypatch.setattr(pool_mod.POOL, "ttl_s", 0.0)
         query = _query(corpus, seed=3)
         ids = list(corpus.ids())
         with obs.trace():
@@ -168,7 +185,7 @@ class TestDatabaseGrowth:
         assert counters.get("verify.pool.respawns", 0) == 1
         assert counters.get("verify.pool.fallbacks", 0) == 0
 
-    def test_stale_chunk_raises_and_falls_back(self):
+    def test_stale_chunk_raises_and_falls_back(self, monkeypatch):
         """A ``db.add()`` that lands after the chunks were cut respawns the
         pool with more graphs than the chunks claim: the workers refuse
         them, and the batch is answered serially."""
@@ -182,7 +199,7 @@ class TestDatabaseGrowth:
                 db.add(db[0].copy())
             return (query, chunk)
 
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with pytest.warns(RuntimeWarning, match="serial"):
@@ -192,7 +209,6 @@ class TestDatabaseGrowth:
                 )
             events = RECORDER.snapshot()
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert out == serial
         fallback = next(e for e in events if e["kind"] == "pool.fallback")
@@ -233,9 +249,11 @@ class TestAnswerInvariance:
 
 
 class TestPostmortemRateLimit:
-    def test_one_bundle_per_exception_type(self, tmp_path, small_db):
+    def test_one_bundle_per_exception_type(
+        self, tmp_path, small_db, monkeypatch
+    ):
         verif.reset_postmortem_limiter()
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with mock.patch.dict(
@@ -251,15 +269,14 @@ class TestPostmortemRateLimit:
                             db=small_db,
                         )
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
     def test_unwritten_bundle_does_not_consume_the_slot(
-        self, tmp_path, small_db
+        self, tmp_path, small_db, monkeypatch
     ):
         verif.reset_postmortem_limiter()
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             # First fallback: no dir configured, nothing written...
@@ -285,13 +302,12 @@ class TestPostmortemRateLimit:
                         db=small_db,
                     )
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 1
 
-    def test_reset_reopens_the_slot(self, tmp_path, small_db):
+    def test_reset_reopens_the_slot(self, tmp_path, small_db, monkeypatch):
         verif.reset_postmortem_limiter()
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with mock.patch.dict(
@@ -308,7 +324,6 @@ class TestPostmortemRateLimit:
                             db=small_db,
                         )
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 2
 

@@ -133,8 +133,8 @@ def test_operations_page_covers_the_serve_knob_families():
     """OPERATIONS.md must mention every serve-relevant knob family."""
     operations = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
     for knob in (
-        "REPRO_SERVICE_MAX_SESSIONS",
-        "REPRO_SERVICE_TTL",
+        "--max-sessions",
+        "--ttl",
         "REPRO_WORKERS",
         "REPRO_POSTMORTEM_DIR",
         "REPRO_OBS_EXPORT",

@@ -1,14 +1,18 @@
 """Index persistence and the size accounting behind Table II.
 
-Covers the on-disk format (the catalog pickle), including the property that
-loading restores indexes with the live indexes' A2F/A2I lookup results and
+Covers the on-disk format (the catalog pickle and the fingerprint of the
+database it was mined from), including the property that loading restores
+indexes with the live indexes' A2F/A2I lookup results and
 ``pickled_size_bytes`` accounting."""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MiningParams
+from repro.exceptions import ReproError
 from repro.graph import canonical
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import Graph
@@ -74,24 +78,40 @@ class TestSizes:
 
 
 class TestSaveLoad:
-    def test_round_trip(self, idx, tmp_path):
+    def test_round_trip(self, db, idx, tmp_path):
         path = tmp_path / "indexes.pkl"
-        written = save_indexes(idx, path)
+        written = save_indexes(idx, path, db)
         assert written == path.stat().st_size
-        loaded = load_indexes(path)
+        loaded = load_indexes(path, db)
         assert set(loaded.frequent) == set(idx.frequent)
         assert set(loaded.difs) == set(idx.difs)
         assert loaded.params == idx.params
         assert loaded.db_size == idx.db_size
 
-    def test_loaded_indexes_probe_identically(self, idx, tmp_path):
+    def test_loaded_indexes_probe_identically(self, db, idx, tmp_path):
         path = tmp_path / "indexes.pkl"
-        save_indexes(idx, path)
-        loaded = load_indexes(path)
+        save_indexes(idx, path, db)
+        loaded = load_indexes(path, db)
         for code in idx.frequent:
             a = idx.a2f.fsg_ids(idx.a2f.lookup(code))
             b = loaded.a2f.fsg_ids(loaded.a2f.lookup(code))
             assert a == b
+
+    def test_catalog_refuses_another_database(self, db, idx, tmp_path):
+        path = tmp_path / "indexes.pkl"
+        save_indexes(idx, path, db)
+        other = small_database(seed=5, num_graphs=20, max_nodes=6)
+        assert len(other) == len(db)
+        with pytest.raises(ReproError, match="different database"):
+            load_indexes(path, other)
+
+    def test_catalog_without_fingerprint_is_refused(self, db, idx, tmp_path):
+        path = tmp_path / "indexes.pkl"
+        path.write_bytes(pickle.dumps(
+            (idx.frequent, idx.difs, idx.params, idx.db_size)
+        ))
+        with pytest.raises(ReproError, match="repro index"):
+            load_indexes(path, db)
 
 
 class TestSaveLoadProperty:
@@ -104,8 +124,8 @@ class TestSaveLoadProperty:
         corpus = small_database(seed=seed, num_graphs=12, max_nodes=5)
         idx = build_indexes(corpus, MiningParams(0.25, 2, 4))
         out = tmp_path_factory.mktemp(f"fmt-{seed}")
-        save_indexes(idx, out / "indexes.pkl")
-        loaded = load_indexes(out / "indexes.pkl")
+        save_indexes(idx, out / "indexes.pkl", corpus)
+        loaded = load_indexes(out / "indexes.pkl", corpus)
 
         assert set(loaded.frequent) == set(idx.frequent)
         assert set(loaded.difs) == set(idx.difs)

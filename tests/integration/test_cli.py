@@ -83,6 +83,22 @@ class TestQuery:
                    "--query", str(qpath), "--sigma", "2"])
         assert rc == 0
 
+    def test_catalog_of_another_database_is_refused(
+        self, workspace, tmp_path, capsys
+    ):
+        """The index file was mined from another corpus of the same size:
+        the query must fail, not answer from the wrong catalog."""
+        root, db_path, idx_path = workspace
+        other = tmp_path / "other.lg"
+        write_database(small_database(seed=3, num_graphs=25), other)
+        qpath = tmp_path / "q.lg"
+        self._write_query(qpath, ["t # 0", "v 0 A", "v 1 B", "e 0 1"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", str(other), str(idx_path),
+                  "--query", str(qpath)])
+        assert exit_info.value.code == 1
+        assert "different database" in capsys.readouterr().err
+
 
 class TestSession:
     def test_full_session(self, workspace, tmp_path, capsys):

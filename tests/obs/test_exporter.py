@@ -1,31 +1,38 @@
-"""The continuous exporter: live files, cached knob parsing, worker safety.
+"""The continuous exporter: live files, switching, worker safety.
 
-``REPRO_OBS_EXPORT`` turns a session into a streamed one: every recorder
-event appends to ``events.jsonl`` and the metrics snapshot lands in
-``metrics.prom``/``snapshot.json`` at most once per interval.  These tests
-pin the file formats (schema-v2 envelopes, Prometheus text exposition), the
-raw-string caching of ``sync_env`` (the satellite bugfix — export off must
-cost two env probes, not a parse), and worker suspension.
+``REPRO_OBS_EXPORT`` (or ``export_to``) turns a session into a streamed one:
+every recorder event appends to ``events.jsonl`` and the metrics snapshot
+lands in ``metrics.prom``/``snapshot.json`` at most once per interval.
+These tests pin the file formats (schema-v2 envelopes, Prometheus text
+exposition), switching the target, and worker suspension.
 """
 
 import json
 import os
-from unittest import mock
 
 import pytest
 
-from repro import obs
 from repro.obs.exporter import EXPORTER, ContinuousExporter
 
 
 @pytest.fixture
 def exporter(tmp_path):
     """A fresh (non-singleton) exporter pointed at a temp directory."""
-    with mock.patch.dict(os.environ, {
-        "REPRO_OBS_EXPORT": str(tmp_path),
-        "REPRO_OBS_EXPORT_INTERVAL": "0",
-    }):
-        yield ContinuousExporter(), tmp_path
+    exp = ContinuousExporter()
+    exp.export_to(tmp_path)
+    exp.interval_s = 0.0
+    return exp, tmp_path
+
+
+@pytest.fixture
+def exporting(tmp_path, monkeypatch):
+    """The process-wide exporter streaming into ``tmp_path`` for one test,
+    rewriting its metrics files at every action."""
+    monkeypatch.setattr(EXPORTER, "interval_s", 0.0)
+    saved = EXPORTER.directory
+    EXPORTER.export_to(tmp_path)
+    yield tmp_path
+    EXPORTER.export_to(saved)
 
 
 class TestStreaming:
@@ -64,8 +71,9 @@ class TestStreaming:
         from repro.obs.profiler import PROFILER
 
         exp, directory = exporter
+        saved_hz = PROFILER.hz
         PROFILER.reset()
-        PROFILER.force(200.0)
+        PROFILER.set_hz(200.0)
         try:
             PROFILER.merge({
                 "hz": 200.0, "samples": 4,
@@ -75,7 +83,7 @@ class TestStreaming:
             })
             exp.tick(force=True)
         finally:
-            PROFILER.force(None)
+            PROFILER.set_hz(saved_hz)
         folded = (directory / "profiles" / "profile.folded").read_text()
         assert "a.py:main;a.py:hot 4" in folded
         payload = json.loads(
@@ -92,60 +100,34 @@ class TestStreaming:
         assert not (directory / "profiles").exists()
 
     def test_interval_gates_snapshot_rewrites(self, tmp_path):
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-            "REPRO_OBS_EXPORT_INTERVAL": "3600",
-        }):
-            exp = ContinuousExporter()
+        exp = ContinuousExporter()
+        exp.export_to(tmp_path)
+        assert exp.interval_s == 1.0
+        exp.interval_s = 3600.0
         assert exp.tick() is not None  # first tick always writes
         assert exp.tick() is None      # next one waits for the interval
         assert exp.tick(force=True) is not None
         assert exp.snapshots_written == 2
 
-    def test_inactive_without_the_knob(self):
-        with mock.patch.dict(os.environ, {"REPRO_OBS_EXPORT": ""}):
-            exp = ContinuousExporter()
+    def test_inactive_without_the_knob(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS_EXPORT", raising=False)
+        exp = ContinuousExporter()
         assert not exp.active
         assert exp.tick(force=True) is None
         exp.emit({"kind": "x"})  # must not raise, must not open files
         assert exp.events_emitted == 0
 
 
-class TestSyncEnvCaching:
-    def test_unchanged_env_never_reparses(self, exporter):
-        exp, _ = exporter
-        with mock.patch.object(
-            exp, "_configure", wraps=exp._configure
-        ) as configure:
-            for _ in range(5):
-                assert exp.sync_env() is True
-        configure.assert_not_called()
-
-    def test_changed_dir_reconfigures_once(self, exporter, tmp_path):
-        exp, _ = exporter
-        other = tmp_path / "elsewhere"
-        os.environ["REPRO_OBS_EXPORT"] = str(other)
-        assert exp.sync_env() is True
-        assert other.is_dir()  # reconfigure created the new target
-        with mock.patch.object(
-            exp, "_configure", wraps=exp._configure
-        ) as configure:
-            exp.sync_env()
-        configure.assert_not_called()
-
-    def test_clearing_the_knob_deactivates(self, exporter):
-        exp, _ = exporter
+class TestSwitching:
+    def test_export_to_moves_the_stream(self, exporter, tmp_path):
+        exp, directory = exporter
         exp.emit({"seq": 1, "t_s": 0.0, "kind": "x"})
-        os.environ["REPRO_OBS_EXPORT"] = ""
-        assert exp.sync_env() is False
-        assert not exp.active
-
-    def test_interval_reparses_only_on_change(self, exporter):
-        exp, _ = exporter
-        assert exp._interval == 0.0
-        os.environ["REPRO_OBS_EXPORT_INTERVAL"] = "2.5"
-        exp.sync_env()
-        assert exp._interval == 2.5
+        other = tmp_path / "elsewhere"
+        exp.export_to(other)
+        assert other.is_dir() and exp.directory == other
+        exp.emit({"seq": 2, "t_s": 0.0, "kind": "y"})
+        assert len((directory / "events.jsonl").read_text().splitlines()) == 1
+        assert len((other / "events.jsonl").read_text().splitlines()) == 1
 
 
 class TestWorkerSuspension:
@@ -155,10 +137,9 @@ class TestWorkerSuspension:
         assert not exp.active
         exp.emit({"seq": 1, "t_s": 0.0, "kind": "x"})
         assert not (directory / "events.jsonl").exists()
-        # even a sync_env that re-reads an exporting env stays suspended
-        assert exp.sync_env() is False
-        os.environ["REPRO_OBS_EXPORT"] = str(directory / "sub")
-        assert exp.sync_env() is False
+        # even pointing it at a directory again leaves it inactive
+        exp.export_to(directory / "sub")
+        assert not exp.active
 
     def test_suspend_does_not_close_the_parents_handle(self, exporter):
         exp, directory = exporter
@@ -170,20 +151,14 @@ class TestWorkerSuspension:
 
 
 class TestGlobalWiring:
-    def test_session_streams_through_the_singleton(self, tmp_path):
-        """End-to-end: a traced CLI session with the knob set leaves all
-        three export files behind, and replays (the oracle isolation patch)
-        never pollute the stream."""
+    def test_session_streams_through_the_singleton(self, exporting):
+        """End-to-end: a traced CLI session with export on leaves all three
+        export files behind."""
         from repro.cli import main
 
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-            "REPRO_OBS_EXPORT_INTERVAL": "0",
-        }):
-            assert main(["trace", "--seed", "1"]) == 0
-        # restore the singleton to the (knob-less) ambient environment
-        assert obs.sync_env() is not None
-        assert not EXPORTER.active
+        tmp_path = exporting
+        assert main(["trace", "--seed", "1"]) == 0
+        assert EXPORTER.active and EXPORTER.directory == tmp_path
         assert (tmp_path / "events.jsonl").stat().st_size > 0
         assert (tmp_path / "metrics.prom").stat().st_size > 0
         snap = json.loads((tmp_path / "snapshot.json").read_text())
@@ -191,12 +166,15 @@ class TestGlobalWiring:
         for line in (tmp_path / "events.jsonl").read_text().splitlines():
             assert json.loads(line)["kind"] == "obs-event"
 
-    def test_oracle_replays_are_isolated_from_export(self, tmp_path):
-        from repro.oracle.replay import REFERENCE_CONFIG, applied
+    def test_oracle_replays_are_isolated_from_export(self, exporting):
+        """A replay sweep writes nothing into a live export directory, and
+        the exporter streams there again afterwards."""
+        from repro.oracle.fuzzer import generate_trace
+        from repro.oracle.replay import REFERENCE_CONFIG, applied, replay_trace
 
-        with mock.patch.dict(os.environ, {
-            "REPRO_OBS_EXPORT": str(tmp_path),
-        }):
-            with applied(REFERENCE_CONFIG):
-                assert os.environ["REPRO_OBS_EXPORT"] == ""
-            assert os.environ["REPRO_OBS_EXPORT"] == str(tmp_path)
+        tmp_path = exporting
+        with applied(REFERENCE_CONFIG):
+            assert not EXPORTER.active
+        replay_trace(generate_trace(seed=0), REFERENCE_CONFIG)
+        assert list(tmp_path.iterdir()) == []
+        assert EXPORTER.active and EXPORTER.directory == tmp_path

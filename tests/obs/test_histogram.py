@@ -107,22 +107,17 @@ def test_registry_observe_and_reset():
     assert HISTOGRAMS == {}
 
 
-def test_histograms_record_with_tracing_off():
-    """The always-on contract: REPRO_TRACE=0 must not silence histograms."""
-    import os
-    from unittest import mock
-
+def test_histograms_record_with_tracing_off(monkeypatch):
+    """The always-on contract: tracing off must not silence histograms."""
     from repro import obs
     from repro.oracle.fuzzer import generate_trace
     from repro.oracle.replay import REFERENCE_CONFIG, replay_trace
 
+    monkeypatch.setattr(obs.TRACER, "enabled", False)
     reset_histograms()
     try:
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-            obs.sync_env()
-            replay_trace(generate_trace(seed=5), REFERENCE_CONFIG)
+        replay_trace(generate_trace(seed=5), REFERENCE_CONFIG)
         assert total_observations() > 0
         assert any(name.startswith("action.") for name in HISTOGRAMS)
     finally:
-        obs.sync_env()
         reset_histograms()

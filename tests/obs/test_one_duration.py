@@ -41,18 +41,17 @@ def _engine(db, indexes):
 
 @pytest.mark.parametrize("gesture", sorted(GESTURES))
 def test_every_record_of_a_gesture_carries_its_one_duration(
-    gesture, small_db, small_indexes
+    gesture, small_db, small_indexes, monkeypatch
 ):
     op, act = GESTURES[gesture]
     engine = _engine(small_db, small_indexes)
-    RECORDER.force(True)
+    monkeypatch.setattr(RECORDER, "enabled", True)
     RECORDER.reset()
     try:
         with obs.trace() as tracer:
             report = act(engine)
         events = RECORDER.snapshot()
     finally:
-        RECORDER.force(None)
         RECORDER.reset()
     seconds = report.processing_seconds
     assert seconds > 0.0

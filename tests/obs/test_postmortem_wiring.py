@@ -16,24 +16,21 @@ import pytest
 
 import repro.core.exact as exact_mod
 import repro.core.verification as verif
-from repro import obs
 from repro.cli import main
 from repro.obs.recorder import RECORDER
 from repro.oracle import check_session, generate_trace
 
 
 @pytest.fixture(autouse=True)
-def _recorder_on():
-    RECORDER.force(True)
+def _recorder_on(monkeypatch):
+    monkeypatch.setattr(RECORDER, "enabled", True)
     RECORDER.reset()
     # Earlier fallback tests may have consumed this exception type's
     # one-bundle-per-type slot (the postmortem rate limiter); each test
     # here asserts on its own bundle, so start from a clean slate.
     verif.reset_postmortem_limiter()
     yield
-    RECORDER.force(None)
     RECORDER.reset()
-    obs.sync_env()
 
 
 def _chunk_worker(db, payload):
@@ -128,8 +125,8 @@ class TestDivergenceBundle:
         assert result.ok
         assert result.flight_recording is None
 
-    def test_disabled_recorder_yields_no_recording(self):
-        RECORDER.force(False)
+    def test_disabled_recorder_yields_no_recording(self, monkeypatch):
+        monkeypatch.setattr(RECORDER, "enabled", False)
         with self._patched_bitset_bug():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -5,8 +5,9 @@ The headline acceptance property rides in
 sampler on, one request-scoped slice of the profile contains frames from
 *both* the parent process (SPIG construction / candidate maintenance) and
 the pooled VF2 workers (merged home through the worker-delta protocol,
-prefixed ``worker:<label>;``).  Around it: the sampler lifecycle (env knob,
-``force``, the shared no-op scope when off), ``(request_id, action)``
+prefixed ``worker:<label>;``).  Around it: the sampler lifecycle (the
+start-up knob, ``set_hz``, the shared no-op scope when off),
+``(request_id, action)``
 attribution, the memory tier, the collapsed-stack/flamegraph renderers, and
 the guarantee that sampling never perturbs answers (differential oracle).
 """
@@ -35,14 +36,14 @@ from repro.obs.requests import request_scope
 
 
 @pytest.fixture(autouse=True)
-def _pristine_profiler():
+def _pristine_profiler(monkeypatch):
     """Every test starts and ends with the sampler off and empty."""
-    PROFILER.force(None)
-    PROFILER.force_mem(None)
+    monkeypatch.setattr(PROFILER, "mem_topn", 0)
+    saved_hz = PROFILER.hz
+    PROFILER.set_hz(0)
     PROFILER.reset()
     yield
-    PROFILER.force(None)
-    PROFILER.force_mem(None)
+    PROFILER.set_hz(saved_hz)
     PROFILER.reset()
 
 
@@ -68,8 +69,8 @@ class TestSamplerLifecycle:
         assert profile_action("new") is _NOOP
         assert profile_action("run") is _NOOP
 
-    def test_force_starts_sampling_and_none_stops_it(self):
-        PROFILER.force(500.0)
+    def test_set_hz_starts_sampling_and_zero_stops_it(self):
+        PROFILER.set_hz(500.0)
         assert PROFILER.enabled and PROFILER.hz == 500.0
         _wait_for_samples()
         assert PROFILER.samples > 0
@@ -78,25 +79,17 @@ class TestSamplerLifecycle:
         # frames are pkg-relative "path:function" labels joined with ";"
         assert any("test_profiler" in folded and "_spin" in folded
                    for folded in stacks)
-        PROFILER.force(None)
+        PROFILER.set_hz(0)
         assert not PROFILER.enabled
         settled = PROFILER.samples
         _spin(0.05)
         time.sleep(0.05)
         assert PROFILER.samples == settled
 
-    def test_sync_env_picks_up_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "125")
-        assert PROFILER.sync_env() is True
-        assert PROFILER.hz == 125.0
-        monkeypatch.delenv("REPRO_PROFILE_HZ")
-        assert PROFILER.sync_env() is False
-        assert not PROFILER.enabled
-
     def test_rate_is_clamped_to_the_documented_bound(self):
-        PROFILER.force(1e9)
+        PROFILER.set_hz(1e9)
         assert PROFILER.hz == 1000.0
-        PROFILER.force(-5)
+        PROFILER.set_hz(-5)
         assert not PROFILER.enabled
 
     def test_fold_trims_roots_and_keeps_leaves(self):
@@ -119,7 +112,7 @@ class TestSamplerLifecycle:
 
 class TestAttribution:
     def test_samples_land_in_the_request_and_action_slice(self):
-        PROFILER.force(500.0)
+        PROFILER.set_hz(500.0)
         with request_scope("req-42"):
             with profile_action("new"):
                 _wait_for_samples()
@@ -145,7 +138,7 @@ class TestAttribution:
         assert "outer" in actions  # post-inner samples re-attribute to outer
 
     def test_unscoped_samples_keep_a_null_slice(self):
-        PROFILER.force(500.0)
+        PROFILER.set_hz(500.0)
         _wait_for_samples()
         profile = PROFILER.collect()
         assert any(
@@ -186,8 +179,7 @@ class TestWorkerMerge:
 
 class TestMemoryTier:
     def test_mem_bracket_attributes_allocating_lines(self):
-        PROFILER.force_mem(5)
-        assert PROFILER.mem_topn == 5
+        PROFILER.mem_topn = 5
         with profile_action("index.build"):
             hoard = [bytearray(4096) for _ in range(200)]
         assert hoard
@@ -289,7 +281,7 @@ class TestWorkerAttributionEndToEnd:
                 break
         ids = list(corpus.ids())
 
-        PROFILER.force(1000.0)
+        PROFILER.set_hz(1000.0)
         parent = worker = ()
         with obs.trace():
             with request_scope("prof-e2e"):
@@ -316,7 +308,7 @@ class TestWorkerAttributionEndToEnd:
                     if parent and worker:
                         break
             counters = obs.full_snapshot()["counters"]
-        PROFILER.force(None)
+        PROFILER.set_hz(0)
         if counters.get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
         assert parent, "no parent-side frames attributed to the request"
@@ -387,11 +379,8 @@ class TestSamplerDoesNotPerturbAnswers:
 
         trace = generate_trace(seed=9)
         baseline = replay_trace(trace, OracleConfig())
-        PROFILER.force(800.0)
-        try:
-            sampled = replay_trace(trace, OracleConfig())
-        finally:
-            PROFILER.force(None)
+        PROFILER.set_hz(800.0)
+        sampled = replay_trace(trace, OracleConfig())
         divergence = first_divergence(
             baseline.observations, sampled.observations,
             "sampler-off", "sampler-on",

@@ -1,17 +1,14 @@
-"""Flight recorder: ring bound, env gating, dedup, and answer-neutrality.
+"""Flight recorder: ring bound, gating, dedup, and answer-neutrality.
 
 The recorder is the always-on black box; these tests pin its four promises:
 the ring is bounded (oldest events drop, drop count reported), the
-``REPRO_RECORDER``/``REPRO_RECORDER_SIZE`` knobs gate it per action,
-``transition`` compresses streaks to flips, and — the one that matters most
-— turning it on or off never changes a session's observations.
+``enabled`` switch gates it, ``transition`` compresses streaks to flips,
+and — the one that matters most — turning it on or off never changes a
+session's observations.
 """
 
 import json
-import os
-from unittest import mock
 
-from repro import obs
 from repro.obs.recorder import RECORDER, FlightRecorder, render_postmortem
 from repro.oracle.diff import first_divergence
 from repro.oracle.fuzzer import generate_trace
@@ -20,7 +17,7 @@ from repro.oracle.replay import REFERENCE_CONFIG, replay_trace
 
 def test_ring_is_bounded_and_reports_drops():
     r = FlightRecorder(size=4)
-    r.force(True)
+    r.enabled = True
     for i in range(10):
         r.record("tick", i=i)
     events = r.snapshot()
@@ -33,7 +30,7 @@ def test_ring_is_bounded_and_reports_drops():
 
 def test_disabled_recorder_is_silent():
     r = FlightRecorder(size=8)
-    r.force(False)
+    r.enabled = False
     r.record("tick")
     r.transition("cache", "hit")
     r.record_exception("boom", ValueError("x"))
@@ -43,7 +40,7 @@ def test_disabled_recorder_is_silent():
 
 def test_transition_records_only_flips():
     r = FlightRecorder(size=32)
-    r.force(True)
+    r.enabled = True
     for state in ("hit", "hit", "hit", "miss", "miss", "hit"):
         r.transition("cache", state)
     events = r.snapshot()
@@ -55,7 +52,7 @@ def test_transition_records_only_flips():
 
 def test_exception_events_carry_the_traceback():
     r = FlightRecorder(size=8)
-    r.force(True)
+    r.enabled = True
     try:
         raise RuntimeError("pool died")
     except RuntimeError as exc:
@@ -68,7 +65,7 @@ def test_exception_events_carry_the_traceback():
 
 def test_dump_render_roundtrip_through_json():
     r = FlightRecorder(size=8)
-    r.force(True)
+    r.enabled = True
     r.record("action.start", op="new")
     r.transition("a2f.lookup", "hit")
     try:
@@ -86,67 +83,34 @@ def test_dump_render_roundtrip_through_json():
     assert "| " in text  # traceback lines are indented into the timeline
 
 
-def test_env_knobs_gate_the_process_recorder():
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": "0"}):
-        obs.sync_env()
-        assert not RECORDER.enabled
-        before = len(RECORDER.snapshot())
-        RECORDER.record("should.not.appear")
-        assert len(RECORDER.snapshot()) == before
-    with mock.patch.dict(
-        os.environ, {"REPRO_RECORDER": "1", "REPRO_RECORDER_SIZE": "16"}
-    ):
-        obs.sync_env()
-        assert RECORDER.enabled
-        for i in range(40):
-            RECORDER.record("fill", i=i)
-        assert len(RECORDER.snapshot()) == 16
-    obs.sync_env()
+def _observations(trace, enabled, monkeypatch):
+    monkeypatch.setattr(RECORDER, "enabled", enabled)
     RECORDER.reset()
-
-
-def test_recorder_size_floor_is_sixteen():
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER_SIZE": "2"}):
-        obs.sync_env()
-        for i in range(40):
-            RECORDER.record("fill", i=i)
-        assert len(RECORDER.snapshot()) == 16
-    obs.sync_env()
-    RECORDER.reset()
-
-
-def _observations(trace, recorder_env):
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": recorder_env}):
-        obs.sync_env()
-        RECORDER.reset()
-        session = replay_trace(trace, REFERENCE_CONFIG)
-    obs.sync_env()
+    session = replay_trace(trace, REFERENCE_CONFIG)
     RECORDER.reset()
     return session.observations
 
 
-def test_recorder_never_changes_answers():
-    """REPRO_RECORDER=0 vs =1 must be byte-identical through the differ."""
+def test_recorder_never_changes_answers(monkeypatch):
+    """Recorder off vs on must be byte-identical through the differ."""
     for seed in (0, 9, 23):
         trace = generate_trace(seed=seed)
-        off = _observations(trace, "0")
-        on = _observations(trace, "1")
+        off = _observations(trace, False, monkeypatch)
+        on = _observations(trace, True, monkeypatch)
         divergence = first_divergence(
-            off, on, left="REPRO_RECORDER=0", right="REPRO_RECORDER=1",
+            off, on, left="recorder off", right="recorder on",
             kind="obs",
         )
         assert divergence is None, divergence
         assert len(off) == len(on) == len(trace)
 
 
-def test_recorder_actually_recorded_the_on_leg():
+def test_recorder_actually_recorded_the_on_leg(monkeypatch):
     """Guard the guard: the enabled leg really captured engine events."""
     trace = generate_trace(seed=9)
-    with mock.patch.dict(os.environ, {"REPRO_RECORDER": "1"}):
-        obs.sync_env()
-        RECORDER.reset()
-        replay_trace(trace, REFERENCE_CONFIG)
-        kinds = {e["kind"] for e in RECORDER.snapshot()}
-    obs.sync_env()
+    monkeypatch.setattr(RECORDER, "enabled", True)
+    RECORDER.reset()
+    replay_trace(trace, REFERENCE_CONFIG)
+    kinds = {e["kind"] for e in RECORDER.snapshot()}
     RECORDER.reset()
     assert "action.start" in kinds or "transition" in kinds

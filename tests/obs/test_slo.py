@@ -205,10 +205,10 @@ class TestRequestLog:
 
 
 class TestRequestScopeStamping:
-    def test_recorder_events_inside_a_scope_carry_the_id(self):
+    def test_recorder_events_inside_a_scope_carry_the_id(self, monkeypatch):
         from repro.obs.recorder import RECORDER
 
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with request_scope("req-abc"):
@@ -216,7 +216,6 @@ class TestRequestScopeStamping:
             RECORDER.record("probe.outside", x=2)
             events = {e["kind"]: e for e in RECORDER.snapshot()}
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert events["probe.inside"]["request_id"] == "req-abc"
         assert "request_id" not in events["probe.outside"]

@@ -143,7 +143,7 @@ class TestMetricsMerge:
 class TestRecorderMerge:
     def _ring(self, size=16):
         r = FlightRecorder(size=size)
-        r.force(True)
+        r.enabled = True
         return r
 
     def test_events_interleave_by_timestamp_with_provenance(self):
@@ -189,9 +189,9 @@ class TestRecorderMerge:
         parent.record("only.event")
         parent.merge([], source="w")
         assert len(parent.snapshot()) == 1
-        parent.force(False)
+        parent.enabled = False
         parent.merge([{"seq": 1, "t_s": 0.0, "kind": "x"}], source="w")
-        parent.force(True)
+        parent.enabled = True
         assert len(parent.snapshot()) == 1
 
     def test_merge_does_not_mutate_the_caller_events(self):

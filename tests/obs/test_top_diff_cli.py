@@ -13,7 +13,6 @@ from unittest import mock
 
 import pytest
 
-from repro import obs
 from repro.cli import main
 from repro.obs.export import (
     diff_trace_reports,
@@ -21,18 +20,20 @@ from repro.obs.export import (
     render_request_bundle,
     render_top,
 )
+from repro.obs.exporter import EXPORTER
 
 
 @pytest.fixture
-def export_dir(tmp_path):
+def export_dir(tmp_path, monkeypatch):
     """A directory populated by one real exporting session."""
     directory = tmp_path / "export"
-    with mock.patch.dict(os.environ, {
-        "REPRO_OBS_EXPORT": str(directory),
-        "REPRO_OBS_EXPORT_INTERVAL": "0",
-    }):
+    monkeypatch.setattr(EXPORTER, "interval_s", 0.0)
+    saved = EXPORTER.directory
+    EXPORTER.export_to(directory)
+    try:
         assert main(["trace", "--seed", "1"]) == 0
-    obs.sync_env()
+    finally:
+        EXPORTER.export_to(saved)
     return directory
 
 

@@ -1,40 +1,37 @@
 """``obs.trace(reset=True)`` must be exception-safe.
 
-The context manager force-enables tracing for a block; if the block raises,
-it must (a) restore the tracer's prior enabled/override state and (b) never
-leave a half-reset span stack behind — an open span surviving the block
-would silently reparent every span of the *next* traced block under a dead
+The context manager enables tracing for a block; if the block raises, it
+must (a) restore the tracer's prior enabled state and (b) never leave a
+half-reset span stack behind — an open span surviving the block would
+silently reparent every span of the *next* traced block under a dead
 ancestor.
 """
-
-import os
-from unittest import mock
 
 import pytest
 
 from repro import obs
-from repro.config import trace_enabled
 from repro.obs.tracer import TRACER, timed
 
 
 @pytest.fixture(autouse=True)
-def _clean_tracer():
-    TRACER.force(None)
+def _clean_tracer(monkeypatch):
+    monkeypatch.setattr(TRACER, "enabled", False)
     TRACER.reset()
     yield
-    TRACER.force(None)
     TRACER.reset()
 
 
 def test_exception_restores_prior_enabled_state():
-    with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-        TRACER.sync_env()
-        with pytest.raises(RuntimeError):
-            with obs.trace():
-                raise RuntimeError("boom")
-        assert TRACER._override is None
-        assert TRACER.enabled == trace_enabled()
-        assert TRACER.enabled is False
+    with pytest.raises(RuntimeError):
+        with obs.trace():
+            raise RuntimeError("boom")
+    assert TRACER.enabled is False
+    TRACER.enabled = True
+    with pytest.raises(RuntimeError):
+        with obs.trace():
+            TRACER.enabled = False  # a block may switch it itself
+            raise RuntimeError("boom")
+    assert TRACER.enabled is True
 
 
 def test_exception_does_not_leave_open_spans_on_the_stack():

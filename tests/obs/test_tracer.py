@@ -1,12 +1,9 @@
 """Timed regions as spans: nesting, ordering, attributes, enable/disable modes."""
 
-import os
-from unittest import mock
-
 import pytest
 
 from repro import obs
-from repro.obs.tracer import Span
+from repro.obs.tracer import Span, Tracer
 
 
 class TestSpanNesting:
@@ -130,57 +127,38 @@ class TestAttributes:
 
 
 class TestEnablement:
-    def test_disabled_by_default_without_env(self):
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-            obs.sync_env()
-            try:
-                assert obs.TRACER.enabled is False
-                obs.TRACER.reset()
-                with obs.timed("ignored"):
-                    pass
-                assert obs.TRACER.roots == []
-            finally:
-                obs.sync_env()
+    def test_disabled_by_default_without_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        assert Tracer().enabled is False
+        monkeypatch.setattr(obs.TRACER, "enabled", False)
+        obs.TRACER.reset()
+        with obs.timed("ignored"):
+            pass
+        assert obs.TRACER.roots == []
 
-    def test_env_enables_at_sync(self):
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "1"}):
-            obs.TRACER.reset()
-            obs.sync_env()
-            try:
-                assert obs.TRACER.enabled is True
-                with obs.timed("seen"):
-                    pass
-                assert obs.TRACER.roots[0].name == "seen"
-            finally:
-                obs.TRACER.reset()
-        obs.sync_env()
+    def test_trace_contextmanager_overrides_env_and_restores(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(obs.TRACER, "enabled", False)
+        with obs.trace():
+            assert obs.TRACER.enabled is True
+        assert obs.TRACER.enabled is False
 
-    def test_trace_contextmanager_overrides_env_and_restores(self):
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-            obs.sync_env()
-            with obs.trace():
-                assert obs.TRACER.enabled is True
-            obs.sync_env()
-            assert obs.TRACER.enabled is False
+    def test_disabled_spans_record_nothing(self, monkeypatch):
+        monkeypatch.setattr(obs.TRACER, "enabled", False)
+        obs.TRACER.reset()
+        with obs.timed("a"):
+            with obs.timed("b"):
+                pass
+        assert obs.TRACER.roots == []
+        assert obs.TRACER.span_count() == 0
 
-    def test_disabled_spans_record_nothing(self):
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-            obs.TRACER.reset()
-            obs.sync_env()
-            with obs.timed("a"):
-                with obs.timed("b"):
-                    pass
-            assert obs.TRACER.roots == []
-            assert obs.TRACER.span_count() == 0
-
-    def test_untraced_region_accepts_set(self):
+    def test_untraced_region_accepts_set(self, monkeypatch):
         # instrumented code calls .set(...) unconditionally
-        with mock.patch.dict(os.environ, {"REPRO_TRACE": "0"}):
-            obs.sync_env()
-            with obs.timed("quiet", edge=1) as sp:
-                sp.set(more=True)
-            sp.set(status="x")  # after the region closed, too
-        obs.sync_env()
+        monkeypatch.setattr(obs.TRACER, "enabled", False)
+        with obs.timed("quiet", edge=1) as sp:
+            sp.set(more=True)
+        sp.set(status="x")  # after the region closed, too
         assert sp.attrs == {"edge": 1, "more": True, "status": "x"}
         assert sp.seconds >= 0.0
 

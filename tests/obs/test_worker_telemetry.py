@@ -107,11 +107,13 @@ class TestTelemetryParityAcrossWorkerCounts:
         assert pooled["sim.candidate.count"] \
             == serial["sim.candidate.count"] == len(ids)
 
-    def test_chunk_histogram_covers_every_pool_chunk(self, corpus):
+    def test_chunk_histogram_covers_every_pool_chunk(
+        self, corpus, monkeypatch
+    ):
         """Worker-side ``verify.chunk`` samples merge back: one per chunk
         the ``pool.run`` event says was dispatched."""
         query = _query(corpus, seed=3)
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with obs.trace():
@@ -119,7 +121,6 @@ class TestTelemetryParityAcrossWorkerCounts:
                 snapshot = obs.full_snapshot()
                 events = RECORDER.snapshot()
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         if snapshot["counters"].get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
@@ -130,9 +131,9 @@ class TestTelemetryParityAcrossWorkerCounts:
 
 
 class TestWorkerEventsReachTheParentRing:
-    def test_pool_chunk_events_carry_provenance(self, corpus):
+    def test_pool_chunk_events_carry_provenance(self, corpus, monkeypatch):
         query = _query(corpus, seed=4)
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with obs.trace():
@@ -140,7 +141,6 @@ class TestWorkerEventsReachTheParentRing:
                 snapshot = obs.full_snapshot()
                 events = RECORDER.snapshot()
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         if snapshot["counters"].get("verify.pool.fallbacks", 0):
             pytest.skip("pool unavailable on this platform")
@@ -181,13 +181,13 @@ def _raising_chunk_worker(db, payload):
 
 class TestFallbackCarriesWorkerTraceback:
     def test_worker_side_failure_attaches_the_worker_traceback(
-        self, small_db
+        self, small_db, monkeypatch
     ):
         """When the chunk worker itself raises, ``concurrent.futures`` hands
         the parent a ``_RemoteTraceback`` — the ``pool.fallback`` event must
         preserve that worker-side text (only the parent's re-raise frame
         used to survive) and name the worker's exception as its cause."""
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with pytest.warns(RuntimeWarning, match="serial"):
@@ -202,7 +202,6 @@ class TestFallbackCarriesWorkerTraceback:
                     )
             events = RECORDER.snapshot()
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         fallback = next(e for e in events if e["kind"] == "pool.fallback")
         assert "worker_traceback" in fallback
@@ -212,10 +211,12 @@ class TestFallbackCarriesWorkerTraceback:
         # that wraps the remote traceback.
         assert fallback["cause"].startswith("ValueError: boom")
 
-    def test_parent_side_failure_has_no_worker_traceback(self, small_db):
+    def test_parent_side_failure_has_no_worker_traceback(
+        self, small_db, monkeypatch
+    ):
         """Unpicklable payloads fail before any worker runs — no remote
         frame exists, and the event must not carry a fabricated one."""
-        RECORDER.force(True)
+        monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
         try:
             with pytest.warns(RuntimeWarning, match="serial"):
@@ -228,7 +229,6 @@ class TestFallbackCarriesWorkerTraceback:
                 )
             events = RECORDER.snapshot()
         finally:
-            RECORDER.force(None)
             RECORDER.reset()
         assert out == list(range(32))
         fallback = next(e for e in events if e["kind"] == "pool.fallback")

@@ -34,7 +34,7 @@ from repro.testing import connected_order
 def correlated_stack(monkeypatch):
     """A live server over a corpus big enough to engage the pool.
 
-    Tracing and the recorder are forced on (correlation stamps root spans
+    Tracing and the recorder are switched on (correlation stamps root spans
     only while tracing is enabled); the pool floor is pinned below the
     candidate counts this corpus produces, and the index's fragment size is
     capped low so a 5-edge query always leaves the indexed envelope and
@@ -42,9 +42,9 @@ def correlated_stack(monkeypatch):
     """
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "2")
-    TRACER.force(True)
+    monkeypatch.setattr(TRACER, "enabled", True)
     TRACER.reset()
-    RECORDER.force(True)
+    monkeypatch.setattr(RECORDER, "enabled", True)
     RECORDER.reset()
     db = generate_aids_like(60, seed=7)
     indexes = build_indexes(db, MiningParams(
@@ -62,11 +62,8 @@ def correlated_stack(monkeypatch):
         server.shutdown()
         thread.join(timeout=5.0)
         server.server_close()
-        TRACER.force(None)
         TRACER.reset()
-        RECORDER.force(None)
         RECORDER.reset()
-        obs.sync_env()
 
 
 def _query(db, seed, edges=5):

@@ -1,5 +1,6 @@
 """The HTTP layer: routes, protocol envelopes, error mapping, concurrency."""
 
+import socket
 import threading
 
 import pytest
@@ -87,6 +88,24 @@ class TestErrorMapping:
         with pytest.raises(ServiceClientError) as excinfo:
             client.request("GET", "/nope")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_400_and_closes(self, server, length):
+        """A body of unknown length cannot be read (``read(-1)`` waits for
+        an EOF a keep-alive client never sends): answer 400 at once and
+        hang up, since the request's framing is lost."""
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(
+                b"POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)  # a timeout here fails the test
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
 
 
 class TestConcurrentClients:

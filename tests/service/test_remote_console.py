@@ -135,12 +135,13 @@ class TestProfileSurfaces:
 
     @pytest.fixture(autouse=True)
     def _sampler_off_after(self):
+        saved_hz = PROFILER.hz
         yield
-        PROFILER.force(None)
+        PROFILER.set_hz(saved_hz)
         PROFILER.reset()
 
     def test_obs_profile_is_null_while_sampler_is_off(self, client):
-        PROFILER.force(None)
+        PROFILER.set_hz(0)
         PROFILER.reset()
         assert client.obs()["profile"] is None
 
@@ -148,7 +149,7 @@ class TestProfileSurfaces:
         self, server, client, capsys
     ):
         PROFILER.reset()
-        PROFILER.force(1000.0)
+        PROFILER.set_hz(1000.0)
         sid = client.create_session()
         client.act(sid, "add_node", ("a", "A"))
         # add_edge is an instrumented action site ("new") — samples taken
@@ -178,7 +179,7 @@ class TestProfileSurfaces:
         bundle = client.request_bundle("profiled-req")
         assert bundle["profile"]
         assert sum(bundle["profile"].values()) > 0
-        PROFILER.force(None)
+        PROFILER.set_hz(0)
 
         host, port = server.address
         code = main([

@@ -22,12 +22,11 @@ from repro.service.http import MAX_BODY_BYTES, ServiceHandler
 
 
 @pytest.fixture()
-def recording():
-    """Force the flight recorder on and hand back a clean ring."""
-    RECORDER.force(True)
+def recording(monkeypatch):
+    """Switch the flight recorder on and hand back a clean ring."""
+    monkeypatch.setattr(RECORDER, "enabled", True)
     RECORDER.reset()
     yield
-    RECORDER.force(None)
     RECORDER.reset()
 
 

@@ -1,5 +1,11 @@
 """Configuration knobs and the public API surface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -53,6 +59,38 @@ class TestExperimentScale:
     def test_floor(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0")
         assert experiment_scale() == 0.01
+
+
+class TestStartupKnobs:
+    def test_obs_switches_are_read_when_the_singletons_are_built(
+        self, tmp_path
+    ):
+        """The observability knobs take effect through a process's
+        environment at start-up: each singleton reads its knob once."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update({
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+            "REPRO_TRACE": "1",
+            "REPRO_RECORDER": "0",
+            "REPRO_PROFILE_HZ": "50",
+            "REPRO_OBS_EXPORT": str(tmp_path / "export"),
+        })
+        probe = (
+            "import json\n"
+            "from repro.obs import EXPORTER, PROFILER, RECORDER, TRACER\n"
+            "print(json.dumps([TRACER.enabled, RECORDER.enabled,"
+            " PROFILER.hz, EXPORTER.active]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        ).stdout
+        trace, recorder, hz, exporting = json.loads(out)
+        assert trace is True
+        assert recorder is False
+        assert hz == 50.0
+        assert exporting is True
 
 
 class TestPublicApi:
