@@ -34,11 +34,13 @@ import signal
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from typing import List, Optional, Tuple
 
+from repro.obs.exporter import EXPORTER
 from repro.obs.metrics import count, gauge
 from repro.obs.recorder import RECORDER
+from repro.obs.tracer import TRACER
 
 
 def _pool_context():
@@ -56,6 +58,12 @@ _WORKER_DB = None
 def _init_worker(db) -> None:
     """Executor initializer: keep the inherited database for every chunk.
 
+    Switches off the recorder, tracer and exporter the worker inherited: a
+    chunk returns what it observed and the parent records it
+    (:func:`repro.core.verification._pool_chunk`), so nothing a worker
+    records is ever read, and a suspended exporter never writes to the
+    parent's export files.
+
     Also restores the default signal dispositions a forked worker would
     otherwise inherit from the parent: the service's SIGTERM handler only
     sets a stop event, but :func:`_stop_workers` relies on SIGTERM killing
@@ -66,6 +74,9 @@ def _init_worker(db) -> None:
     global _WORKER_DB
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    EXPORTER.suspend()
+    RECORDER.enabled = False
+    TRACER.enabled = False
     _WORKER_DB = db
 
 
@@ -92,14 +103,25 @@ def _stop_workers(executor: ProcessPoolExecutor) -> None:
     ``shutdown(wait=True)`` would wait for running chunks, so this does what
     CPython 3.14's ``terminate_workers()`` does: it takes the processes
     before ``shutdown`` forgets them, then terminates each one and waits up
-    to 5 s for it to exit.
+    to 5 s for it to exit.  Queued chunks are not cancelled: the broken
+    pool fails them, and in CPython 3.11 failing a cancelled chunk kills
+    the executor's management thread (``InvalidStateError``).
+
+    It then waits for that management thread to finish.  The thread holds
+    the executor's shutdown lock while it winds down, and a worker forked
+    meanwhile inherits the lock held: when its garbage collector frees its
+    copy of this executor, the executor's weakref callback takes that lock
+    and the worker blocks for good.
     """
     processes = list((executor._processes or {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
+    manager = executor._executor_manager_thread
+    executor.shutdown(wait=False)
     for proc in processes:
         proc.terminate()
     for proc in processes:
         proc.join(5.0)
+    if manager is not None:
+        manager.join(5.0)
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +138,10 @@ class WarmPool:
     batch's candidate count, so small and large batches share the workers.
 
     Workers are shared across HTTP requests and sessions — per-request
-    correlation is *not* pool state.  Each dispatched chunk carries its own
-    observability context (including the dispatching request's id, see
-    :func:`repro.obs.snapshot.worker_context`), applied at chunk entry, so
-    a warm worker serving interleaved requests still labels every recorded
-    event with the right id.
+    correlation is *not* pool state.  A chunk returns what it observed, and
+    the dispatching thread records it under its own request id
+    (:func:`repro.core.verification._run_batch`), so a warm worker serving
+    interleaved requests needs no id of its own.
     """
 
     #: Seconds an idle pool survives before the next dispatch respawns it;
@@ -193,13 +214,17 @@ class WarmPool:
     def map(self, func, payloads: List, workers: int, db) -> List:
         """Run ``func`` over ``payloads`` on workers forked with ``db``.
 
-        Any failure, a dead worker included, tears the pool down so the next
-        dispatch respawns cleanly, then propagates to the caller's serial
-        fallback.
+        Every chunk is submitted and awaited before any result is read, so
+        a failing chunk cancels none queued behind it (see
+        :func:`_stop_workers`).  Any failure, a dead worker included, tears
+        the pool down so the next dispatch respawns cleanly, then propagates
+        to the caller's serial fallback.
         """
         executor = self._ensure(workers, db)
         try:
-            out = list(executor.map(func, payloads))
+            futures = [executor.submit(func, payload) for payload in payloads]
+            wait(futures)
+            out = [future.result() for future in futures]
         except Exception:
             with self._lock:
                 if self._executor is executor:  # not yet replaced

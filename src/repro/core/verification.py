@@ -30,12 +30,13 @@ returns the same id sets.
 Each scan is one timed region (``verify.scan``, ``verify.sim``, inside
 ``verify.exact`` for a Run), each chunk another (``verify.chunk``), and each
 VF2 test one ``verify.candidate`` / ``verify.sim.candidate`` histogram
-sample.  Telemetry is cross-process: every chunk runs under worker-local
-observation capture (:mod:`repro.obs.snapshot`) and returns its
-counter/histogram/recorder delta alongside its ids, which the parent merges
-back — so the per-candidate sample counts are identical whether the batch
-ran serially or across any pool size
-(``tests/obs/test_worker_telemetry.py``).
+sample.  A chunk returns the time of each VF2 test with its ids, and the
+calling thread records them — on the serial path, the pool path and the
+fallback alike.  A pool chunk also returns its duration, its worker's pid
+and, while the sampler runs, its profile; the parent records those as one
+``verify.chunk`` sample, one ``pool.chunk`` event and a merged profile.  So
+the histograms hold the same samples whether the batch ran serially or
+across any pool size (``tests/obs/test_worker_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -53,13 +54,9 @@ from repro.graph.isomorphism import CompiledPattern, compile_pattern
 from repro.graph.labeled_graph import Graph
 from repro.obs.histogram import observe
 from repro.obs.metrics import count
+from repro.obs.profiler import PROFILER
 from repro.obs.recorder import RECORDER
-from repro.obs.snapshot import (
-    begin_worker_capture,
-    collect_worker_delta,
-    merge_worker_delta,
-    worker_context,
-)
+from repro.obs.requests import current_request_id
 from repro.obs.tracer import timed
 from repro.spig.manager import SpigManager
 from repro.spig.spig import SpigVertex
@@ -70,50 +67,62 @@ def _chunks(ids: Sequence[int], size: int) -> List[Sequence[int]]:
 
 def _test_pattern(
     compiled: CompiledPattern, db: GraphDatabase, ids: Sequence[int]
-) -> List[int]:
-    """Ids among ``ids`` whose graph in ``db`` contains the compiled pattern.
+) -> Tuple[List[int], List[float]]:
+    """Ids among ``ids`` whose graph in ``db`` contains the compiled
+    pattern, and the seconds each VF2 test took.
 
     The single shared inner loop of exact verification — the serial path,
-    the pool workers and the pool fallback all run through it, so its
-    instrumentation (one ``verify.candidate`` histogram sample per VF2 test)
-    is *path-invariant*: totals match across every ``REPRO_WORKERS`` setting
-    by construction.  Samples inside a ``verify.*`` region, not regions: an
+    the pool workers and the pool fallback all run through it, and each
+    time becomes one ``verify.candidate`` sample (:func:`_record`), so
+    sample counts match across every ``REPRO_WORKERS`` setting by
+    construction.  Samples inside a ``verify.*`` region, not regions: an
     inline clock pair costs half a :func:`~repro.obs.tracer.timed` handle.
     """
     out: List[int] = []
+    times: List[float] = []
     for gid in ids:
         graph = db[gid]
         test_start = time.perf_counter()
         hit = compiled.embeds_in(graph)
-        observe("verify.candidate", time.perf_counter() - test_start)
+        times.append(time.perf_counter() - test_start)
         if hit:
             out.append(gid)
-    return out
+    return out, times
 
 
 def _test_fragments(
     compiled: List[CompiledPattern], db: GraphDatabase, ids: Sequence[int]
-) -> List[int]:
+) -> Tuple[List[int], List[float]]:
     """Ids among ``ids`` whose graph in ``db`` contains *any* compiled
-    fragment.
+    fragment, and the seconds each candidate took.
 
-    SimVerify's shared inner loop; one ``verify.sim.candidate`` sample per
+    SimVerify's shared inner loop; one ``verify.sim.candidate`` time per
     candidate graph (not per fragment — the ``any`` short-circuit makes
     fragment counts path-dependent, graph counts are not).
     """
     out: List[int] = []
+    times: List[float] = []
     for gid in ids:
         graph = db[gid]
         test_start = time.perf_counter()
         hit = any(c.embeds_in(graph) for c in compiled)
-        observe("verify.sim.candidate", time.perf_counter() - test_start)
+        times.append(time.perf_counter() - test_start)
         if hit:
             out.append(gid)
-    return out
+    return out, times
 
 
-def _verify_chunk(db: GraphDatabase, payload) -> List[int]:
-    """Ids of the chunk's graphs in ``db`` that contain the pattern.
+def _record(site: str, times: Sequence[float]) -> None:
+    """One histogram ``site`` sample per candidate time."""
+    for seconds in times:
+        observe(site, seconds)
+
+
+def _verify_chunk(
+    db: GraphDatabase, payload
+) -> Tuple[List[int], List[float]]:
+    """Ids of the chunk's graphs in ``db`` that contain the pattern, and
+    their VF2 times.
 
     ``payload`` is ``(pattern, chunk_ids)``; ``db`` is the database a pool
     worker was forked with, or the caller's on the serial paths.
@@ -124,40 +133,39 @@ def _verify_chunk(db: GraphDatabase, payload) -> List[int]:
     )
 
 
-def _sim_verify_chunk(db: GraphDatabase, payload) -> List[int]:
+def _sim_verify_chunk(
+    db: GraphDatabase, payload
+) -> Tuple[List[int], List[float]]:
     """Ids of the chunk's graphs in ``db`` containing *any* of the
-    fragments; ``payload`` is ``(fragments, chunk_ids)``."""
+    fragments, and their times; ``payload`` is ``(fragments, chunk_ids)``."""
     fragments, ids = payload
     label_freq = db.label_frequencies()
     compiled = [CompiledPattern(f, label_freq) for f in fragments]
     return _test_fragments(compiled, db, ids)
 
 
-def _obs_chunk(blob: bytes) -> Tuple[List[int], dict]:
-    """Pool entry point: one chunk under worker-local telemetry capture.
+def _pool_chunk(blob: bytes):
+    """Pool entry point: one chunk, returning what it observed.
 
-    Receives the pickled ``(ctx, worker, size, payload)`` (see
-    :func:`_run_batch`): the worker's database must hold ``size`` graphs
-    (:func:`repro.core.pool.worker_db`), the parent's observability context
-    is applied, the inherited registries are reset to start a clean delta
-    (:func:`repro.obs.snapshot.begin_worker_capture`), the real worker runs,
-    and the chunk's ids come back *with* the worker's observation delta for
-    the parent to merge.  The ``pool.chunk`` recorder event gives merged
-    timelines a per-chunk anchor (pid, duration, hits) — and because the
-    context carries the dispatching HTTP request's id, the worker-local
-    recorder stamps it onto every event here, so a merged ``pool.chunk``
-    is attributable to the exact request that triggered the batch.
+    Receives the pickled ``(hz, request_id, worker, size, payload)`` (see
+    :func:`_run_batch`); the worker's database must hold ``size`` graphs
+    (:func:`repro.core.pool.worker_db`).  Returns ``(ids, times, seconds,
+    pid, profile)``: what ``worker(db, payload)`` returned, the chunk's
+    duration, this worker's pid and, while the parent's sampler runs at
+    ``hz``, the chunk's profile scoped to the dispatching request (else
+    ``None``).  The parent records all of it; the worker's own registries
+    are switched off (:func:`repro.core.pool._init_worker`).
     """
-    ctx, worker, size, payload = pickle.loads(blob)
+    hz, request_id, worker, size, payload = pickle.loads(blob)
     db = worker_db(size)
-    begin_worker_capture(ctx)
+    PROFILER.set_hz(hz)
+    if hz:
+        PROFILER.reset()
+        PROFILER.set_scope(request_id, "verify.chunk")
     with timed("verify.chunk") as region:
-        result = worker(db, payload)
-    RECORDER.record(
-        "pool.chunk", pid=os.getpid(), hits=len(result),
-        seconds=region.seconds,
-    )
-    return result, collect_worker_delta()
+        ids, times = worker(db, payload)
+    profile = PROFILER.collect() if hz and PROFILER.samples else None
+    return ids, times, region.seconds, os.getpid(), profile
 
 
 def _worker_traceback(exc: BaseException) -> Optional[str]:
@@ -201,32 +209,32 @@ def _run_batch(
     ids: List[int],
     workers: int,
     db: GraphDatabase,
+    site: str = "verify.candidate",
 ) -> List[int]:
     """Chunk ``ids`` across the warm pool, falling back to in-process runs.
 
-    ``worker(db, payload)`` runs once per chunk: on a pool worker against
-    the database that worker was forked with, and on the fallback against
-    ``db``.  Pool failures (unpicklable payloads, dead workers, a worker
-    forked before a ``db.add()``) must degrade a *Run* action to the slower
-    serial path, not abort it: the answer is computable without a pool, so
-    compute it.  The fallback executes the same worker on the same
-    payloads, hence returns the identical id list.
+    ``worker(db, payload)`` runs once per chunk and returns the chunk's ids
+    and per-candidate times: on a pool worker against the database that
+    worker was forked with, and on the fallback against ``db``.  Pool
+    failures (unpicklable payloads, dead workers, a worker forked before a
+    ``db.add()``) must degrade a *Run* action to the slower serial path,
+    not abort it: the answer is computable without a pool, so compute it.
+    The fallback executes the same worker on the same payloads, hence
+    returns the identical id list.
 
     Each chunk is pickled here, before any dispatch, so an unpicklable
     payload fails in the calling thread instead of the executor's feeder
     thread.  It carries the length of ``db`` on entry, which a pool worker
-    checks against its own.  The pool is keyed and sized on ``workers``,
-    the configured count; a batch with fewer candidates than workers is cut
+    checks against its own, and the sampler rate and request id a worker
+    profiles under.  The pool is keyed and sized on ``workers``, the
+    configured count; a batch with fewer candidates than workers is cut
     into one chunk per candidate and leaves the spare workers idle, rather
-    than forking a smaller pool.
+    than forking a smaller one.
 
-    On the pool path every chunk's observation delta is merged back here,
-    so nothing a worker recorded is lost (see :mod:`repro.obs.snapshot`);
-    on the fallback path the worker runs in-process and its observations
-    land in the parent registries directly.  Either way the current
-    request-id scope propagates: :func:`worker_context` snapshots it into
-    the chunk payloads, and in-process fallbacks inherit the thread's
-    scope, so correlation survives the degradation.
+    Observations are recorded here, in the calling thread, so they carry
+    its request id: each time one histogram ``site`` sample and each chunk
+    one ``verify.chunk`` sample, on either path; each pool chunk also one
+    ``pool.chunk`` event labelled ``src=pid-<worker>`` and its profile.
     """
     size = len(db)
     db.label_frequencies()  # cached before the workers fork, read by each
@@ -237,19 +245,16 @@ def _run_batch(
         "pool.run", chunks=len(payloads), workers=workers,
         candidates=len(ids),
     )
-    ctx = worker_context()
+    scope = (PROFILER.hz, current_request_id())
+    out: List[int] = []
     try:
         blobs = [
             pickle.dumps(
-                (ctx, worker, size, payload), pickle.HIGHEST_PROTOCOL
+                scope + (worker, size, payload), pickle.HIGHEST_PROTOCOL
             )
             for payload in payloads
         ]
-        outputs = POOL.map(_obs_chunk, blobs, workers, db)
-        parts = []
-        for part, delta in outputs:
-            parts.append(part)
-            merge_worker_delta(delta)
+        outputs = POOL.map(_pool_chunk, blobs, workers, db)
     except Exception as exc:  # pickling/OS/pool-management failures
         count("verify.pool.fallbacks")
         worker_tb = _worker_traceback(exc)
@@ -280,13 +285,22 @@ def _run_batch(
             RuntimeWarning,
             stacklevel=3,
         )
-        parts = []
         for payload in payloads:
             with timed("verify.chunk"):
-                parts.append(worker(db, payload))
-    out: List[int] = []
-    for part in parts:  # chunks are ascending and disjoint: concat is sorted
-        out.extend(part)
+                part, times = worker(db, payload)
+            _record(site, times)
+            out.extend(part)
+        return out
+    for part, times, seconds, pid, profile in outputs:
+        _record(site, times)
+        observe("verify.chunk", seconds)
+        source = f"pid-{pid}"
+        RECORDER.record(
+            "pool.chunk", pid=pid, hits=len(part), seconds=seconds,
+            src=source,
+        )
+        PROFILER.merge(profile, source=source)
+        out.extend(part)  # chunks are ascending and disjoint: concat is sorted
     return out
 
 
@@ -315,7 +329,9 @@ def verify_batch(
                 ids, workers, db,
             )
         count("verify.serial")
-        return _verify_chunk(db, (pattern, ids))
+        out, times = _verify_chunk(db, (pattern, ids))
+        _record("verify.candidate", times)
+        return out
 
 
 def sim_verify_scan(
@@ -343,10 +359,12 @@ def sim_verify_scan(
         if _pooled(len(ids), workers):
             return set(_run_batch(
                 _sim_verify_chunk, lambda chunk: (fragments, chunk),
-                ids, workers, db,
+                ids, workers, db, "verify.sim.candidate",
             ))
         count("verify.serial")
-        return set(_sim_verify_chunk(db, (fragments, ids)))
+        out, times = _sim_verify_chunk(db, (fragments, ids))
+        _record("verify.sim.candidate", times)
+        return set(out)
 
 
 def exact_verification(

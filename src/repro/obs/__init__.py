@@ -36,18 +36,13 @@ millisecond of a formulation session goes* without changing any answer:
   ``python -m repro profile``;
 * **request correlation** (:mod:`repro.obs.requests`) — a thread-local
   request-id scope: while the service dispatches a request, every recorder
-  event and root span is stamped with the id, worker deltas carry it home,
-  and the always-on :data:`~repro.obs.requests.REQUEST_LOG` ring keeps the
+  event and root span is stamped with the id, pool chunks included, and
+  the always-on :data:`~repro.obs.requests.REQUEST_LOG` ring keeps the
   completed-request access log behind ``/obs`` and ``/v1/requests/<id>``;
 * **SLOs** (:mod:`repro.obs.slo`) — rolling-window attainment and
   error-budget burn rates for declarative objectives (action latency under
   the GUI window, error rate, admission rate), surfaced in
-  ``full_snapshot()`` and the Prometheus export;
-* **cross-process merge** (:mod:`repro.obs.snapshot`) — verification-pool
-  workers capture counter/histogram/recorder deltas locally and the parent
-  merges them back (exact bucket-wise histogram sums, per-worker provenance
-  labels, timestamp-interleaved events), so ``full_snapshot()`` accounts
-  for every observation at any ``REPRO_WORKERS`` setting.
+  ``full_snapshot()`` and the Prometheus export.
 
 Tracing is **off by default** and controlled by ``REPRO_TRACE``; histograms
 and the flight recorder are **on by default** (``REPRO_RECORDER=0`` turns
@@ -95,10 +90,8 @@ from repro.obs.histogram import (
     HISTOGRAMS,
     Histogram,
     histogram_summaries,
-    merge_histograms,
     observe,
     reset_histograms,
-    snapshot_histograms,
 )
 from repro.obs.metrics import METRICS, Metrics, count, full_snapshot, gauge
 from repro.obs.profiler import (
@@ -116,7 +109,6 @@ from repro.obs.requests import (
     RequestLog,
     current_request_id,
     request_scope,
-    set_request_id,
 )
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -126,12 +118,6 @@ from repro.obs.slo import (
     record_action_latency,
     record_admission,
     record_request,
-)
-from repro.obs.snapshot import (
-    begin_worker_capture,
-    collect_worker_delta,
-    merge_worker_delta,
-    worker_context,
 )
 from repro.obs.srt import (
     LedgerEntry,
@@ -162,8 +148,6 @@ __all__ = [
     "Histogram",
     "observe",
     "histogram_summaries",
-    "snapshot_histograms",
-    "merge_histograms",
     "reset_histograms",
     "RECORDER",
     "FlightRecorder",
@@ -179,7 +163,6 @@ __all__ = [
     "RequestLog",
     "current_request_id",
     "request_scope",
-    "set_request_id",
     "SLO",
     "SloTracker",
     "SloObjective",
@@ -189,10 +172,6 @@ __all__ = [
     "record_request",
     "EXPORTER",
     "ContinuousExporter",
-    "worker_context",
-    "begin_worker_capture",
-    "collect_worker_delta",
-    "merge_worker_delta",
     "LedgerEntry",
     "SrtLedger",
     "build_ledger",

@@ -417,9 +417,9 @@ def render_request_bundle(data: Dict[str, Any]) -> str:
     """A correlated request bundle (``GET /v1/requests/<id>``) as text.
 
     ``data`` carries the access-log entry (``request``), the recorder
-    events stamped with the id (``events`` — including any merged from pool
-    workers, recognisable by their ``src`` label), the root span trees
-    whose ``request_id`` attribute matches (``spans``, in
+    events stamped with the id (``events`` — including the ``pool.chunk``
+    events of its verification, recognisable by their ``src`` label), the
+    root span trees whose ``request_id`` attribute matches (``spans``, in
     :meth:`~repro.obs.tracer.Span.to_dict` form) and, when the sampler is
     on, the request-scoped profile slice (``profile``: folded stacks to
     sample counts, pool-worker frames prefixed ``worker:<label>;``).

@@ -7,8 +7,8 @@ fact; a long-running session serving real traffic needs to be watchable
 keeps three files there live:
 
 * ``events.jsonl`` — every flight-recorder event, appended the moment it is
-  recorded (one schema-v2 ``obs-event`` envelope per line).  Worker events
-  merged back from the verification pool stream too, ``src``-labelled;
+  recorded (one schema-v2 ``obs-event`` envelope per line), the parent's
+  ``src``-labelled ``pool.chunk`` events included;
 * ``metrics.prom`` — the full metrics snapshot (counters, gauges, latency
   histograms) in Prometheus text exposition format, rewritten at the end of
   an engine action at most once per
@@ -21,9 +21,9 @@ Both metric files are written atomically (temp file + ``os.replace``) so a
 tailing reader never sees a half-written snapshot.
 
 Verification-pool workers inherit the parent's exporter state on fork;
-:func:`repro.obs.snapshot.begin_worker_capture` calls :meth:`suspend` so a
-worker never appends to the parent's files — its events arrive in the
-stream only via the parent-side merge, timestamp-interleaved and labelled.
+:func:`repro.core.pool._init_worker` calls :meth:`suspend` so a worker never
+appends to the parent's files — what a chunk observed reaches the stream as
+the parent records it.
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ class ContinuousExporter:
         """Permanently deactivate in this process (called in pool workers).
 
         A forked worker shares the parent's open JSONL handle; writing from
-        both would interleave garbage.  Worker telemetry instead rides the
-        delta merge (:mod:`repro.obs.snapshot`) back into the parent's
-        stream.
+        both would interleave garbage.  A chunk instead returns what it
+        observed, and the parent records it into its own stream.
         """
         self._suspended = True
         self.directory = None

@@ -17,8 +17,7 @@ Design constraints, in order:
   recorder) by ``benchmarks/bench_obs_overhead.py``.
 * **fixed log-scale buckets.**  Boundaries grow geometrically (ratio
   ``2**(1/4) ≈ 1.19``) from 100 ns to ~200 s, so relative resolution is
-  constant (~19 %) across six decades and two histograms are mergeable
-  bucket-by-bucket.
+  constant (~19 %) across six decades.
 * **exact rank extraction.**  :meth:`percentile` computes the exact
   nearest-rank index ``⌈p/100·n⌉`` over the bucket counts — the returned
   value is the upper edge of the bucket holding that rank (clamped to the
@@ -124,54 +123,6 @@ class Histogram:
                 return min(edge, self.max)
         return self.max  # pragma: no cover - ranks always land in a bucket
 
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready, mergeable copy of the full distribution state.
-
-        Unlike :meth:`summary` (which collapses to percentiles) this keeps
-        the raw bucket counts, so two snapshots taken in different
-        *processes* can be combined without losing a sample — the basis of
-        the cross-process worker-telemetry merge
-        (:mod:`repro.obs.snapshot`).  Bucket keys are stringified indices
-        (JSON objects only key on strings).
-        """
-        return {
-            "count": self.count,
-            "sum_s": self.sum,
-            "min_s": self.min if self.count else 0.0,
-            "max_s": self.max,
-            "buckets": {str(i): n for i, n in sorted(self._counts.items())},
-        }
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one — exactly.
-
-        Both sides share the fixed log-scale boundaries, so the merge is a
-        bucket-wise sum: the merged histogram is *identical* (same buckets,
-        count, min/max, hence same exact-rank percentiles) to one that
-        observed the concatenation of both sample streams.  Pinned by the
-        property test in ``tests/obs/test_snapshot_merge.py``.
-
-        >>> a, b = Histogram("left"), Histogram("right")
-        >>> for ms in (1, 2):
-        ...     a.record(ms / 1000)
-        >>> b.record(0.1)
-        >>> a.merge_snapshot(b.snapshot())
-        >>> a.count
-        3
-        >>> a.percentile(99) == 0.1  # the merged max is b's sample
-        True
-        """
-        added = int(snap.get("count", 0))
-        if added <= 0:
-            return
-        self.count += added
-        self.sum += float(snap.get("sum_s", 0.0))
-        self.min = min(self.min, float(snap.get("min_s", 0.0)))
-        self.max = max(self.max, float(snap.get("max_s", 0.0)))
-        for index, n in snap.get("buckets", {}).items():
-            index = int(index)
-            self._counts[index] = self._counts.get(index, 0) + int(n)
-
     def summary(self) -> Dict[str, Any]:
         """JSON-ready scalar view: count/sum/min/max plus p50/p90/p99."""
         out: Dict[str, Any] = {
@@ -218,31 +169,6 @@ def histogram_summaries() -> Dict[str, Dict[str, Any]]:
         for name in sorted(HISTOGRAMS)
         if HISTOGRAMS[name].count
     }
-
-
-def snapshot_histograms() -> Dict[str, Dict[str, Any]]:
-    """Mergeable ``{site: Histogram.snapshot()}`` of every non-empty histogram."""
-    return {
-        name: HISTOGRAMS[name].snapshot()
-        for name in sorted(HISTOGRAMS)
-        if HISTOGRAMS[name].count
-    }
-
-
-def merge_histograms(snaps: Dict[str, Dict[str, Any]]) -> None:
-    """Fold a :func:`snapshot_histograms` capture into the process registry.
-
-    Sites missing locally are created; sites present on both sides merge
-    bucket-wise (see :meth:`Histogram.merge_snapshot`).  This is how the
-    parent process absorbs verification-worker telemetry — after the merge,
-    :func:`histogram_summaries` accounts for every sample the workers
-    recorded.
-    """
-    for name, snap in snaps.items():
-        h = HISTOGRAMS.get(name)
-        if h is None:
-            h = HISTOGRAMS[name] = Histogram(name)
-        h.merge_snapshot(snap)
 
 
 def total_observations() -> int:

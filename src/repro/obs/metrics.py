@@ -29,7 +29,7 @@ them under the ``canonical.*`` prefix so one call sees everything.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.obs.tracer import TRACER
 
@@ -63,34 +63,6 @@ class Metrics:
             "counters": dict(sorted(self._counters.items())),
             "gauges": dict(sorted(self._gauges.items())),
         }
-
-    def merge(self, delta: Dict[str, Dict[str, Number]],
-              source: Optional[str] = None) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters are summed — merging worker deltas therefore preserves
-        exact totals regardless of how work was chunked.  Gauges are
-        last-write-wins in-process, but across processes "last" is
-        meaningless, so a ``source`` provenance label (the worker id)
-        namespaces them as ``<name>.<source>`` instead of overwriting the
-        parent's value.
-
-        >>> parent, worker = Metrics(), Metrics()
-        >>> parent.inc("verify.serial", 3)
-        >>> worker.inc("verify.serial", 5)
-        >>> worker.set_gauge("rq.size", 9)
-        >>> parent.merge(worker.snapshot(), source="w1")
-        >>> parent.counter("verify.serial")
-        8
-        >>> parent.snapshot()["gauges"]
-        {'rq.size.w1': 9}
-        """
-        for name, value in delta.get("counters", {}).items():
-            self._counters[name] = self._counters.get(name, 0) + value
-        for name, value in delta.get("gauges", {}).items():
-            if source is not None:
-                name = f"{name}.{source}"
-            self._gauges[name] = value
 
     def reset(self) -> None:
         """Zero everything (test/bench isolation)."""

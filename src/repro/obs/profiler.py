@@ -14,9 +14,10 @@ of one engine action on one thread, and captures the active request id
 (:mod:`repro.obs.requests`) at entry — so every sample lands in a
 ``(request_id, action)`` slice and a profile can be cut per
 ``/v1/sessions/<id>/actions`` call.  Verification workers run their own
-sampler (seeded through the :mod:`repro.obs.snapshot` worker-delta
-protocol) and their samples merge home tagged with the worker's name, so
-pooled VF2 chunks appear in the parent's profile under the same request id.
+sampler at the rate and under the request id their chunk payload carries,
+and each chunk's samples merge home (:meth:`Profiler.merge`) tagged with
+the worker's name, so pooled VF2 chunks appear in the parent's profile
+under the same request id.
 
 The memory tier is opt-in (``PROFILER.mem_topn = N``, which ``python -m
 repro profile --mem N`` sets): engine actions are bracketed with
@@ -35,6 +36,7 @@ by ``benchmarks/bench_obs_overhead.py``.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -182,10 +184,9 @@ class Profiler:
                   action: Optional[str]) -> None:
         """Unconditionally scope the *current thread*'s future samples.
 
-        Worker processes use this (via
-        :func:`repro.obs.snapshot.begin_worker_capture`) where there is no
-        enclosing action to restore; handler threads should prefer
-        :func:`profile_action`.
+        Pool chunks use this (:func:`repro.core.verification._pool_chunk`)
+        where there is no enclosing action to restore; handler threads
+        should prefer :func:`profile_action`.
         """
         with self._lock:
             self._scopes[threading.get_ident()] = (
@@ -256,7 +257,7 @@ class Profiler:
         return tracemalloc.get_traced_memory()[1]
 
     # ------------------------------------------------------------------
-    # snapshots, worker deltas, reset
+    # snapshots, worker profiles, reset
     # ------------------------------------------------------------------
     def collect(self) -> Dict[str, Any]:
         """The accumulated profile as one JSON-able (and picklable) dict."""
@@ -336,6 +337,14 @@ class Profiler:
 
 #: The process-wide profiler (sampling off unless REPRO_PROFILE_HZ is set).
 PROFILER = Profiler()
+
+# A pool worker forked while the sampler thread holds the lock would inherit
+# it held, and block for good at its first chunk: hold it across the fork.
+os.register_at_fork(
+    before=PROFILER._lock.acquire,
+    after_in_parent=PROFILER._lock.release,
+    after_in_child=PROFILER._lock.release,
+)
 
 
 class _ActionScope:

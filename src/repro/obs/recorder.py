@@ -126,44 +126,6 @@ class FlightRecorder:
         if _EXPORTER.active:
             _EXPORTER.emit(event)
 
-    def merge(self, events: List[Dict[str, Any]],
-              source: Optional[str] = None) -> None:
-        """Interleave another process's event snapshot into this ring.
-
-        Events arrive from a verification worker's delta
-        (:mod:`repro.obs.snapshot`): each is tagged with its ``source``
-        provenance label (``src`` field) and slotted into the ring by its
-        ``t_s`` timestamp — ``perf_counter`` is CLOCK_MONOTONIC, shared
-        across forked processes, so parent and worker timelines are directly
-        comparable.  Sequence numbers are reassigned over the merged order
-        (they are per-ring, not global), and the ring bound still holds:
-        oldest merged events fall off first.  Merged events also stream to
-        the continuous exporter, so a tailing ``repro top`` sees worker
-        activity as soon as the pool returns.
-        """
-        if not self.enabled or not events:
-            return
-        incoming: List[Dict[str, Any]] = []
-        for event in events:
-            event = dict(event)
-            if source is not None:
-                event.setdefault("src", source)
-            incoming.append(event)
-        combined = sorted(
-            list(self._events) + incoming,
-            key=lambda e: e.get("t_s", 0.0),
-        )
-        self._seq += len(incoming)
-        retained = combined[-self._size:]
-        for seq, event in enumerate(
-            retained, start=self._seq - len(retained) + 1
-        ):
-            event["seq"] = seq
-        self._events = deque(retained, maxlen=self._size)
-        if _EXPORTER.active:
-            for event in incoming:
-                _EXPORTER.emit(event)
-
     def record_exception(self, kind: str, exc: BaseException,
                          **fields: Any) -> None:
         """Append an exception event carrying the full traceback text."""

@@ -3,16 +3,13 @@
 The service mints (or honors) an ``X-Prague-Request`` id per HTTP request
 and enters :func:`request_scope` for the duration of the dispatch.  While
 the scope is active, every flight-recorder event and every *root* tracer
-span created on that thread is stamped with the id — and because
-:func:`repro.obs.snapshot.worker_context` forwards the current id into
-pool-worker chunk payloads, events recorded *inside a worker process* carry
-the same id home through the delta merge.  ``GET /v1/requests/<id>`` then
-reassembles the whole story for a postmortem.
+span created on that thread is stamped with the id — pool chunks included,
+since the dispatching thread records what its chunks observed
+(:func:`repro.core.verification._run_batch`).  ``GET /v1/requests/<id>``
+then reassembles the whole story for a postmortem.
 
 The scope is a plain ``threading.local`` — ``ThreadingHTTPServer`` gives
-every connection its own thread, and the pool workers are separate
-processes seeded explicitly via :func:`set_request_id`, so no further
-plumbing is needed.
+every connection its own thread, so no further plumbing is needed.
 
 :class:`RequestLog` is the always-on completed-request ring behind the
 ``/obs`` slowest/recent surfacing: bounded (:data:`RequestLog.SIZE`, 256),
@@ -43,19 +40,6 @@ _EVER_SCOPED = False
 def current_request_id() -> Optional[str]:
     """The request id of the active scope on this thread (``None`` outside)."""
     return getattr(_SCOPE, "request_id", None)
-
-
-def set_request_id(request_id: Optional[str]) -> None:
-    """Unconditionally (re)seed this thread's request id.
-
-    Used by :func:`repro.obs.snapshot.begin_worker_capture` where there is
-    no enclosing scope to restore — worker processes are reset wholesale
-    before every chunk.  Handler threads should prefer
-    :func:`request_scope`.
-    """
-    global _EVER_SCOPED
-    _EVER_SCOPED = True
-    _SCOPE.request_id = request_id
 
 
 @contextmanager

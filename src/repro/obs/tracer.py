@@ -36,8 +36,8 @@ previous value afterwards:
 True
 
 Open spans are tracked per thread, so concurrent service requests each grow
-their own tree; verification workers are separate *processes* whose
-histogram samples merge home (:mod:`repro.obs.snapshot`).
+their own tree; a verification pool chunk runs in another *process* and
+returns its timings, which the dispatching thread records.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ Every body is a :mod:`repro.service.protocol` envelope.  Every request is
 **correlated**: the handler mints a request id (honoring an inbound
 ``X-Prague-Request`` header), echoes it on the response, and dispatches the
 route inside :func:`repro.obs.requests.request_scope` — so every recorder
-event, every root span, and (via the worker-context hop in
-:mod:`repro.obs.snapshot`) every pool-worker event produced while serving
-the request carries the same id.  Completion is logged twice: a structured
-``service.request`` access-log event in the flight recorder (and therefore
-the JSONL export), and an entry in the always-on
+event and every root span produced while serving the request, the
+``pool.chunk`` events of its verification included, carries the same id.
+Completion is logged twice: a structured ``service.request`` access-log
+event in the flight recorder (and therefore the JSONL export), and an
+entry in the always-on
 :data:`~repro.obs.requests.REQUEST_LOG` ring behind ``/obs``'s
 slowest-requests view and ``GET /v1/requests/<rid>`` postmortem lookups.
 """
@@ -88,8 +88,8 @@ def _request_bundle(request_id: str) -> Dict[str, Any]:
     """Everything correlated with one request id, for postmortems.
 
     The access-log entry from the request ring, the recorder events stamped
-    with the id (including worker-side events merged back with their
-    ``src`` label), and the root span trees whose ``request_id`` attribute
+    with the id (including ``pool.chunk`` events with their ``src``
+    label), and the root span trees whose ``request_id`` attribute
     matches.  Raises :class:`UnknownRequestError` when nothing at all
     correlates — distinguishing "bad id" from "telemetry was off" is
     impossible after the fact, so the message says both.
@@ -162,6 +162,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.send_header(REQUEST_ID_HEADER, self._request_id)
+            if self.close_connection:
+                # The handler hangs up after this response (a request whose
+                # framing is lost): say so, or a keep-alive client learns
+                # it only when its next request on this socket fails.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

@@ -168,7 +168,7 @@ class TestSimVerifyMatcherParity:
 def _chunk_len_worker(db, payload):
     """Module-level (hence picklable) worker used by the fallback tests."""
     chunk, transform = payload
-    return [transform(gid) for gid in chunk]
+    return [transform(gid) for gid in chunk], []
 
 
 class TestRunBatchFallback:

@@ -149,6 +149,50 @@ class TestWorkerSuspension:
         exp.suspend()
         assert not handle.closed  # the fd belongs to the parent on fork
 
+    def test_pool_workers_stay_off_the_parents_stream(
+        self, exporting, monkeypatch
+    ):
+        """Workers forked while ``events.jsonl`` is open inherit its handle.
+        They record nothing and their exporter is suspended, so one pooled
+        batch leaves exactly the parent's lines: one ``pool.run`` and one
+        ``pool.chunk`` per chunk."""
+        import repro.core.pool as pool_mod
+        from repro.core.verification import verify_batch
+        from repro.datasets import generate_aids_like
+        from repro.obs.recorder import RECORDER
+
+        monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
+        monkeypatch.setattr(RECORDER, "enabled", True)
+        RECORDER.reset()
+        db = generate_aids_like(60, seed=7)
+        pool_mod.shutdown()  # so the workers fork after the stream opens
+        try:
+            verify_batch(db[0], list(db.ids()), db, workers=2)
+            switches = pool_mod.POOL.map(_worker_switches, [0, 1], 2, db)
+        finally:
+            pool_mod.shutdown()
+            RECORDER.reset()
+        assert switches == [(False, False, False)] * 2
+        events = [
+            json.loads(line) for line in
+            (exporting / "events.jsonl").read_text().splitlines()
+        ]
+        kinds = [e["event"] for e in events]
+        assert "pool.fallback" not in kinds
+        (run,) = [e for e in events if e["event"] == "pool.run"]
+        chunks = [e for e in events if e["event"] == "pool.chunk"]
+        assert run["chunks"] >= 2
+        assert len(chunks) == run["chunks"]
+        assert all(e["src"] == f"pid-{e['pid']}" for e in chunks)
+
+
+def _worker_switches(_):
+    """What a pool worker's exporter, recorder and tracer are set to."""
+    from repro.obs.recorder import RECORDER
+    from repro.obs.tracer import TRACER
+
+    return EXPORTER.active, RECORDER.enabled, TRACER.enabled
+
 
 class TestGlobalWiring:
     def test_session_streams_through_the_singleton(self, exporting):

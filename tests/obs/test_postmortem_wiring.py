@@ -36,7 +36,7 @@ def _recorder_on(monkeypatch):
 def _chunk_worker(db, payload):
     """Module-level (hence picklable) worker for the fallback test."""
     chunk, transform = payload
-    return [transform(gid) for gid in chunk]
+    return [transform(gid) for gid in chunk], []
 
 
 class TestPoolFallbackBundle:

@@ -4,7 +4,7 @@ The headline acceptance property rides in
 :class:`TestWorkerAttributionEndToEnd`: with ``REPRO_WORKERS=2`` and the
 sampler on, one request-scoped slice of the profile contains frames from
 *both* the parent process (SPIG construction / candidate maintenance) and
-the pooled VF2 workers (merged home through the worker-delta protocol,
+the pooled VF2 workers (returned with each chunk and merged home,
 prefixed ``worker:<label>;``).  Around it: the sampler lifecycle (the
 start-up knob, ``set_hz``, the shared no-op scope when off),
 ``(request_id, action)``
@@ -12,8 +12,10 @@ attribution, the memory tier, the collapsed-stack/flamegraph renderers, and
 the guarantee that sampling never perturbs answers (differential oracle).
 """
 
+import os
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -175,6 +177,34 @@ class TestWorkerMerge:
         PROFILER.merge(None)
         PROFILER.merge({})
         assert PROFILER.samples == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkSafety:
+    def test_a_forked_child_never_inherits_the_lock_held(self):
+        """The sampler thread folds stacks under the lock.  A pool worker
+        forked at that moment would inherit the lock held and block at its
+        chunk's first scope, so a fork waits for the lock instead."""
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with PROFILER._lock:
+                held.set()
+                release.wait(5.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(5.0)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        pid = os.fork()
+        if pid == 0:  # the child: exit at once, 0 if the lock is free
+            os._exit(0 if PROFILER._lock.acquire(timeout=2.0) else 1)
+        holder.join(5.0)
+        timer.join(5.0)
+        _, status = os.waitpid(pid, 0)  # the child waits 2 s at most
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert not holder.is_alive()
 
 
 class TestMemoryTier:

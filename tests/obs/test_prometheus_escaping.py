@@ -50,8 +50,8 @@ class TestDottedNamesRideInLabels:
             if not line.startswith("#"):
                 assert "." not in line.split("{", 1)[0]
 
-    def test_worker_namespaced_gauges_survive(self):
-        # merge_worker_delta lands worker gauges as "<name>.<worker-label>"
+    def test_dashed_gauge_names_survive(self):
+        # a name with several dots and a dash rides intact in the label
         text = render_prometheus(_snapshot(
             gauges={"pool.chunk_ids.pid-4242": 17},
         ))

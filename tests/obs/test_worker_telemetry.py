@@ -1,11 +1,11 @@
 """Worker telemetry parity: the pool loses no observations — or answers.
 
-The acceptance property of the cross-process merge protocol
-(:mod:`repro.obs.snapshot`): running verification with ``REPRO_WORKERS=4``
-must report *identical* verification counter and histogram totals to the
-serial path in ``full_snapshot()`` — every sample a pool worker records
-arrives back in the parent — while the answers stay byte-identical (pinned
-through the differential oracle's observation diff).
+A pool chunk returns what it observed and the parent records it
+(:func:`repro.core.verification._run_batch`): running verification with
+``REPRO_WORKERS=4`` must report *identical* verification counter and
+histogram totals to the serial path in ``full_snapshot()`` — every time a
+pool worker measured arrives back in the parent — while the answers stay
+byte-identical (pinned through the differential oracle's observation diff).
 
 Also covers the fallback-provenance satellite: when the failure happens
 *inside* a worker, the ``pool.fallback`` event carries the worker's own
@@ -33,7 +33,7 @@ def _pool_floor_16(monkeypatch):
 
     The default ``REPRO_POOL_MIN_CANDIDATES`` (64) would silently route
     these batches down the serial path — and every assertion here exists to
-    watch a *pool* run (merge deltas, chunk events, worker tracebacks).
+    watch a *pool* run (chunk samples, chunk events, worker tracebacks).
     """
     monkeypatch.setenv("REPRO_POOL_MIN_CANDIDATES", "16")
 
@@ -86,8 +86,6 @@ class TestTelemetryParityAcrossWorkerCounts:
         assert not fell_back, "pool unavailable: parity test needs a pool run"
         assert pooled["candidate.count"] == serial["candidate.count"] \
             == len(ids)
-        # the merge itself is accounted for
-        assert snapshot["counters"].get("obs.merge.deltas", 0) >= 2
 
     def test_sim_verify_totals_match_serial_at_four_workers(self, corpus):
         fragments = [_query(corpus, seed=s, edges=3) for s in (5, 6)]
@@ -110,8 +108,8 @@ class TestTelemetryParityAcrossWorkerCounts:
     def test_chunk_histogram_covers_every_pool_chunk(
         self, corpus, monkeypatch
     ):
-        """Worker-side ``verify.chunk`` samples merge back: one per chunk
-        the ``pool.run`` event says was dispatched."""
+        """Worker-side ``verify.chunk`` durations come back: one sample per
+        chunk the ``pool.run`` event says was dispatched."""
         query = _query(corpus, seed=3)
         monkeypatch.setattr(RECORDER, "enabled", True)
         RECORDER.reset()
@@ -148,10 +146,10 @@ class TestWorkerEventsReachTheParentRing:
         assert len(chunk_events) == \
             snapshot["histograms"]["verify.chunk"]["count"]
         assert all(e.get("src", "").startswith("pid-") for e in chunk_events)
-        # timestamp-ordered interleave: the ring stays sorted by t_s
+        # the parent records chunk events in order: the ring stays sorted
         stamps = [e["t_s"] for e in events]
         assert stamps == sorted(stamps)
-        # sequence numbers stay dense after the merge renumbering
+        # sequence numbers stay dense
         assert [e["seq"] for e in events] == list(
             range(events[0]["seq"], events[0]["seq"] + len(events))
         )
@@ -238,4 +236,4 @@ class TestFallbackCarriesWorkerTraceback:
 
 def _chunk_identity(db, payload):
     chunk, transform = payload
-    return [transform(gid) for gid in chunk]
+    return [transform(gid) for gid in chunk], []

@@ -8,8 +8,8 @@ then assert the same client-supplied request id appears on
 * the response's ``X-Prague-Request`` echo,
 * the action's root span tree (``request_id`` span attribute),
 * the recorder's structured ``service.request`` access-log event, and
-* at least one *worker-side* event merged back through the pool's
-  observability-delta protocol (recognisable by its ``pid-*`` src label),
+* at least one ``pool.chunk`` event the dispatching thread recorded for a
+  worker's chunk (recognisable by its ``pid-*`` src label),
 
 all reassembled by ``GET /v1/requests/<id>`` — the postmortem route.
 """
@@ -109,14 +109,14 @@ def test_one_id_stitches_client_handler_session_and_workers(
         ]
         assert chunk_events, (
             "verification never dispatched to the pool — the correlation "
-            "test needs worker-side events to merge back"
+            "test needs pool.chunk events"
         )
         correlated = [
             e for e in chunk_events
             if e.get("request_id", "").startswith("e2e-")
         ]
         assert correlated, (
-            "no pool chunk carried a request id: the worker-context hop "
+            "no pool chunk carried a request id: the dispatching thread "
             "lost the correlation"
         )
         rid = correlated[-1]["request_id"]

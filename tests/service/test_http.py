@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import PragueEngine
 from repro.service import ServiceClient, ServiceClientError
+from repro.service.http import MAX_BODY_BYTES
 
 
 class TestOpsEndpoints:
@@ -89,11 +90,20 @@ class TestErrorMapping:
             client.request("GET", "/nope")
         assert excinfo.value.status == 404
 
-    @pytest.mark.parametrize("length", ["-1", "abc"])
-    def test_malformed_content_length_is_400_and_closes(self, server, length):
+    @pytest.mark.parametrize("length, status", [
+        pytest.param("-1", 400, id="-1"),
+        pytest.param("abc", 400, id="abc"),
+        pytest.param(str(MAX_BODY_BYTES + 1), 413, id="oversized"),
+    ])
+    def test_malformed_content_length_is_400_and_closes(
+        self, server, length, status
+    ):
         """A body of unknown length cannot be read (``read(-1)`` waits for
         an EOF a keep-alive client never sends): answer 400 at once and
-        hang up, since the request's framing is lost."""
+        hang up, since the request's framing is lost.  An oversized body is
+        never read either, so its 413 hangs up too.  Both responses say
+        ``Connection: close``, so a keep-alive client knows the socket is
+        done before it sends the next request."""
         with socket.create_connection(server.address, timeout=2.0) as sock:
             sock.sendall(
                 b"POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
@@ -105,7 +115,9 @@ class TestErrorMapping:
                 if not chunk:
                     break
                 reply += chunk
-        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        headers = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")[1:]
+        assert b"Connection: close" in headers
 
 
 class TestConcurrentClients:
